@@ -3,7 +3,7 @@
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test test-fast test-slow test-dynamic lint conformance-smoke bench-adaptive-smoke bench-kernels-smoke bench-multigpu-smoke bless perf-gate mem-report-smoke canary-smoke bless-canary
+.PHONY: test test-fast test-slow test-dynamic lint conformance-smoke bench-smoke bench-adaptive-smoke bench-kernels-smoke bench-multigpu-smoke bless perf-gate mem-report-smoke canary-smoke bless-canary
 
 test:  ## tier-1: the full suite (the ROADMAP verify command)
 	$(PYTEST) -x -q
@@ -28,6 +28,9 @@ conformance-smoke:  ## fixed-seed differential fuzz pass, wall-clock capped
 		--report conformance-adaptive.jsonl
 	PYTHONPATH=src python -m repro conformance --recipes edits --seed 0 \
 		--budget 100 --max-seconds 60 --report conformance-edits.jsonl
+
+bench-smoke:  ## the repo benchmark's smoke tests: every workload, both clocks, traced run
+	python -m pytest perfbench/test_smoke.py
 
 bench-adaptive-smoke:  ## adaptive-dispatch bench on a tiny graph (CI artifact)
 	BENCH_ADAPTIVE_SMOKE=1 $(PYTEST) -q benchmarks/bench_adaptive.py \

@@ -26,7 +26,7 @@ def _forward_time(graph, algorithm, dtype) -> float:
     fwd = [
         launch
         for launch in device.profiler.launches
-        if "spmv" in launch.name and "scatter" not in launch.name
+        if "_spmm" in launch.name and "scatter" not in launch.name
     ]
     return sum(l.time_s for l in fwd)
 

@@ -22,7 +22,7 @@ from repro.core.forward import bfs_forward
 from repro.graphs import suite
 from repro.gpusim.device import Device
 from repro.perf.memory_model import FootprintModel
-from repro.spmv import sccsc_spmv
+from repro.spmv import sccsc_spmm
 
 
 def _footprint_variants(n: int, m: int):
@@ -75,13 +75,13 @@ def test_ablation_fused_mask(report, benchmark):
         fwd = bfs_forward(ctx, 0)
         ctx.abort()
         masked = [
-            l for l in device.profiler.launches if l.name == "sccsc_spmv"
+            l for l in device.profiler.launches if l.name == "sccsc_spmm"
         ]
         # replay the same frontiers unmasked on a fresh device
         device2 = Device()
-        x = np.zeros(g.n, dtype=np.int64)
+        x = np.zeros((g.n, 1), dtype=np.int64)
         x[0] = 1
-        _, unmasked_launch = sccsc_spmv(device2, g.to_csc(), x)
+        _, unmasked_launch = sccsc_spmm(device2, g.to_csc(), x)
         total_masked = sum(l.exec_time_s for l in masked)
         per_level_unmasked = unmasked_launch.exec_time_s * len(masked)
         return fwd.depth, total_masked, per_level_unmasked

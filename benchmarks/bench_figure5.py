@@ -38,7 +38,7 @@ def _panel_bc():
         g = suite.get(name).build()
         dev_t = Device()
         res = turbo_bc(g, sources=0, algorithm="veccsc", device=dev_t)
-        spmv = dev_t.profiler.summary("veccsc_spmv")
+        spmv = dev_t.profiler.summary("veccsc_spmm")
         dev_g = Device()
         gres = gunrock_bc(g, sources=0, device=dev_g)
         g_kernels = [

@@ -4,9 +4,9 @@ For every fuzz case the harness runs five layers of checks, cheapest first:
 
 1. **format coherence** -- the graph's CSC/COOC/CSR views must encode the
    same matrix (:func:`repro.formats.convert.format_coherence_report`);
-2. **kernel differential** -- each SpMV kernel (gather and scatter form)
-   against the reference product, and each SpMM kernel lane-for-lane
-   against the SpMV it batches (bit-identity);
+2. **kernel differential** -- each kernel (gather and scatter form) at
+   ``B = 3`` against the sequential reference products, and lane ``j``
+   against the same kernel at ``B = 1`` on column ``j`` (bit-identity);
 3. **oracle validation** -- the Brandes oracle's own vector must pass the
    structural BC validator including the conservation identity;
 4. **configuration differential** -- every registered execution
@@ -51,28 +51,16 @@ from repro.spmv import (
     EXTENDED_KERNEL_NAMES,
     pullcsc_spmm,
     pullcsc_spmm_scatter,
-    pullcsc_spmv,
-    pullcsc_spmv_scatter,
     reference_spmm,
     reference_spmm_scatter,
-    reference_spmv,
-    reference_spmv_scatter,
     sccooc_spmm,
     sccooc_spmm_scatter,
-    sccooc_spmv,
-    sccooc_spmv_scatter,
     sccsc_spmm,
     sccsc_spmm_scatter,
-    sccsc_spmv,
-    sccsc_spmv_scatter,
     tcspmm_spmm,
     tcspmm_spmm_scatter,
-    tcspmm_spmv,
-    tcspmm_spmv_scatter,
     veccsc_spmm,
     veccsc_spmm_scatter,
-    veccsc_spmv,
-    veccsc_spmv_scatter,
 )
 
 #: Differential tolerance: the device accumulates the backward stage in
@@ -278,77 +266,56 @@ def _config_divergence_predicate(config: ExecutionConfig, oracle) -> Callable[[G
 
 # -- kernel-level differential ----------------------------------------------
 
-_GATHER = {"sccooc": sccooc_spmv, "sccsc": sccsc_spmv, "veccsc": veccsc_spmv,
-           "pullcsc": pullcsc_spmv, "tcspmm": tcspmm_spmv}
-_SCATTER = {"sccooc": sccooc_spmv_scatter, "sccsc": sccsc_spmv_scatter,
-            "veccsc": veccsc_spmv_scatter,
-            "pullcsc": pullcsc_spmv_scatter, "tcspmm": tcspmm_spmv_scatter}
-_GATHER_MM = {"sccooc": sccooc_spmm, "sccsc": sccsc_spmm, "veccsc": veccsc_spmm,
-              "pullcsc": pullcsc_spmm, "tcspmm": tcspmm_spmm}
-_SCATTER_MM = {"sccooc": sccooc_spmm_scatter, "sccsc": sccsc_spmm_scatter,
-               "veccsc": veccsc_spmm_scatter,
-               "pullcsc": pullcsc_spmm_scatter, "tcspmm": tcspmm_spmm_scatter}
+_GATHER = {"sccooc": sccooc_spmm, "sccsc": sccsc_spmm, "veccsc": veccsc_spmm,
+           "pullcsc": pullcsc_spmm, "tcspmm": tcspmm_spmm}
+_SCATTER = {"sccooc": sccooc_spmm_scatter, "sccsc": sccsc_spmm_scatter,
+            "veccsc": veccsc_spmm_scatter,
+            "pullcsc": pullcsc_spmm_scatter, "tcspmm": tcspmm_spmm_scatter}
 
 
 def kernel_differential_report(graph: Graph, rng, device: Device | None = None) -> list[str]:
-    """Every SpMV/SpMM kernel against the reference products on one frontier.
+    """Every kernel, gather and scatter form, on three-lane frontiers.
 
-    Two frontiers are checked, both bit-strict:
+    All checks are bit-strict:
 
     * small non-negative *integers* -- every sum is exact in float64, so any
       deviation from the reference product is a real kernel bug regardless
       of accumulation order;
-    * *real values* (the backward stage's regime) -- each SpMM lane against
-      the SpMV it batches.  Here accumulation order itself is under test:
-      exact integer sums cannot see a reordering, which is how a pairwise-
-      summing batched segment sum once drifted ULPs from the sequential
-      bincount path.
+    * *real values* (the backward stage's regime) -- here accumulation
+      order itself is under test: each lane must match the sequential
+      storage-order reference (``reference_spmm[_scatter]``) and the same
+      kernel's ``B = 1`` product on that column.  Exact integer sums cannot
+      see a reordering, which is how a pairwise-summing batched segment sum
+      once drifted ULPs from the per-source bincount.
     """
     if graph.n == 0:
         return []
     device = device or Device()
     errors: list[str] = []
-    x = rng.integers(0, 4, size=graph.n).astype(np.float64)
     X = rng.integers(0, 4, size=(graph.n, 3)).astype(np.float64)
-    csc, cooc = graph.to_csc(), graph.to_cooc()
-    want_g, want_s = reference_spmv(csc, x), reference_spmv_scatter(csc, x)
-    want_gmm, want_smm = reference_spmm(csc, X), reference_spmm_scatter(csc, X)
-    for name in EXTENDED_KERNEL_NAMES:
-        mat = cooc if name == "sccooc" else csc
-        got, _ = _GATHER[name](device, mat, x)
-        if not np.array_equal(got, want_g):
-            errors.append(f"{name}_spmv != reference gather product")
-        got, _ = _SCATTER[name](device, mat, x)
-        if not np.array_equal(got, want_s):
-            errors.append(f"{name}_spmv_scatter != reference scatter product")
-        got, _ = _GATHER_MM[name](device, mat, X)
-        if not np.array_equal(got, want_gmm):
-            errors.append(f"{name}_spmm lanes != reference per-lane gather")
-        got, _ = _SCATTER_MM[name](device, mat, X)
-        if not np.array_equal(got, want_smm):
-            errors.append(f"{name}_spmm_scatter lanes != reference per-lane scatter")
-
-    # Real-valued lane identity: SpMM must reproduce per-lane SpMV bit for
-    # bit even when sums round (dependency-like values, not integers).
     R = rng.uniform(0.1, 2.0, size=(graph.n, 3))
+    csc, cooc = graph.to_csc(), graph.to_cooc()
+    products = (("spmm", _GATHER, reference_spmm),
+                ("spmm_scatter", _SCATTER, reference_spmm_scatter))
     for name in EXTENDED_KERNEL_NAMES:
         mat = cooc if name == "sccooc" else csc
-        got, _ = _GATHER_MM[name](device, mat, R)
-        lanes = np.stack(
-            [_GATHER[name](device, mat, R[:, j])[0] for j in range(R.shape[1])],
-            axis=1)
-        if not np.array_equal(got, lanes):
-            errors.append(
-                f"{name}_spmm real-valued lanes not bit-identical to "
-                f"{name}_spmv (accumulation-order drift)")
-        got, _ = _SCATTER_MM[name](device, mat, R)
-        lanes = np.stack(
-            [_SCATTER[name](device, mat, R[:, j])[0] for j in range(R.shape[1])],
-            axis=1)
-        if not np.array_equal(got, lanes):
-            errors.append(
-                f"{name}_spmm_scatter real-valued lanes not bit-identical to "
-                f"{name}_spmv_scatter (accumulation-order drift)")
+        for form, table, reference in products:
+            kernel = table[name]
+            got, _ = kernel(device, mat, X)
+            if not np.array_equal(got, reference(csc, X)):
+                errors.append(f"{name}_{form} lanes != reference per-lane product")
+            got, _ = kernel(device, mat, R)
+            if not np.array_equal(got, reference(csc, R)):
+                errors.append(
+                    f"{name}_{form} real-valued lanes not bit-identical to the "
+                    f"sequential reference (accumulation-order drift)")
+            single = np.concatenate(
+                [kernel(device, mat, R[:, j : j + 1])[0] for j in range(R.shape[1])],
+                axis=1)
+            if not np.array_equal(got, single):
+                errors.append(
+                    f"{name}_{form} real-valued lanes not bit-identical to its "
+                    f"B = 1 product (accumulation-order drift)")
     return errors
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import time
 from dataclasses import dataclass
@@ -10,10 +11,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core import frontier as FK
-from repro.core.backward import accumulate_dependencies, accumulate_dependencies_batch
+from repro.core.backward import accumulate_dependencies_batch
 from repro.core.context import ALGORITHMS, TurboBCContext
-from repro.core.forward import SigmaOverflowError, bfs_forward, bfs_forward_batch
-from repro.core.result import BCResult, BCRunStats, BFSResult
+from repro.core.forward import SigmaOverflowError, bfs_forward_batch
+from repro.core.result import BCResult, BCRunStats
 from repro.graphs.graph import Graph
 from repro.graphs.metrics import SCF_IRREGULAR_THRESHOLD, scale_free_metric
 from repro.gpusim.device import Device
@@ -146,33 +147,24 @@ def _auto_batch_size(graph: Graph, device: Device, n_sources: int, fmt: str,
     return max(1, min(batch, n_sources, _AUTO_BATCH_CAP))
 
 
-def _advise_for_failed_run(exc, graph: Graph, algorithm, forward_dtype,
-                           backward_dtype, batch_size):
-    """Best-effort :class:`~repro.perf.memory_model.FitAdvice` for an OOM
-    that escaped :func:`turbo_bc` without advice (a raw allocation failure
-    rather than an admission rejection): re-resolve the run configuration
-    the same way the driver would and invert the footprint model against
-    the failing device's capacity."""
-    from repro.perf.memory_model import advise_fit
-
+@contextlib.contextmanager
+def _oom_advice(graph: Graph, fmt: str, batch: int, forward_dtype, backward_dtype):
+    """Attach a :class:`~repro.perf.memory_model.FitAdvice` to an allocation
+    OOM escaping one pass of the driver: the footprint model inverted
+    against the failing device's capacity, for the configuration of the
+    pass that failed (the int32 main pass or the float64 re-run)."""
     try:
-        if isinstance(algorithm, str):
-            algorithm = TurboBCAlgorithm(algorithm)
-        if algorithm is None:
-            algorithm = select_algorithm(graph)
-        fmt = ALGORITHMS[algorithm.name][0]
-    except Exception:
-        fmt = "csc"
-    dtype_is_auto = isinstance(forward_dtype, str) and forward_dtype == "auto"
-    # "auto" may be promoted to float64 by the overflow re-run, so the
-    # advice must hold for the worst-case dtypes the run could reach.
-    fdt = np.float64 if dtype_is_auto else forward_dtype
-    bdt = np.float64 if dtype_is_auto else backward_dtype
-    batch = batch_size if isinstance(batch_size, int) and batch_size >= 1 else 1
-    return advise_fit(
-        exc.capacity, graph.n, graph.m, system="turbobc", fmt=fmt,
-        batch=batch, forward_dtype=fdt, backward_dtype=bdt,
-    )
+        yield
+    except DeviceOutOfMemoryError as exc:
+        if exc.advice is None:
+            from repro.perf.memory_model import advise_fit
+
+            exc.advice = advise_fit(
+                exc.capacity, graph.n, graph.m, system="turbobc", fmt=fmt,
+                batch=batch, forward_dtype=forward_dtype,
+                backward_dtype=backward_dtype,
+            )
+        raise
 
 
 def turbo_bc(
@@ -210,16 +202,17 @@ def turbo_bc(
         The default ``"auto"`` runs the paper's int32 forward vectors and
         transparently restarts with float64 if the shortest-path counts
         overflow (deep meshes have combinatorially many equal-length paths,
-        which the CUDA code's int32 sigma cannot represent).  The batched
-        path restarts *only the overflowed sources* rather than the whole
-        run.
+        which the CUDA code's int32 sigma cannot represent).  Only the
+        overflowed sources are re-run, one at a time, rather than the whole
+        run; ``stats.rerun_sources`` lists them.
     batch_size:
         Number of BFS lanes run simultaneously through the SpMM kernels.
-        ``1`` (the default) is the paper's per-source pipeline; an int ``B``
-        processes sources in chunks of B columns; ``"auto"`` picks the
-        largest batch whose working set fits the device's free memory
-        (capped at 64).  Results are identical to ``batch_size=1`` up to
-        float accumulation order.
+        ``1`` (the default) is the paper's per-source pipeline -- the SpMV
+        is the ``B = 1`` SpMM; an int ``B`` processes sources in chunks of B
+        columns; ``"auto"`` picks the largest batch whose working set fits
+        the device's free memory (capped at 64).  ``bc`` is bit-identical
+        for every batch size: each lane accumulates in the same order as
+        its ``B = 1`` run.
     keep_forward:
         Attach the last source's :class:`BFSResult` (copied host-side) to
         the returned result.
@@ -271,25 +264,18 @@ def turbo_bc(
             batch_size=batch_size,
             direction=direction,
         )
-    try:
-        return _turbo_bc_impl(
-            graph,
-            sources=sources,
-            algorithm=algorithm,
-            device=device,
-            forward_dtype=forward_dtype,
-            backward_dtype=backward_dtype,
-            batch_size=batch_size,
-            keep_forward=keep_forward,
-            direction=direction,
-            capture=_capture,
-        )
-    except DeviceOutOfMemoryError as exc:
-        if exc.advice is None:
-            exc.advice = _advise_for_failed_run(
-                exc, graph, algorithm, forward_dtype, backward_dtype, batch_size
-            )
-        raise
+    return _turbo_bc_impl(
+        graph,
+        sources=sources,
+        algorithm=algorithm,
+        device=device,
+        forward_dtype=forward_dtype,
+        backward_dtype=backward_dtype,
+        batch_size=batch_size,
+        keep_forward=keep_forward,
+        direction=direction,
+        capture=_capture,
+    )
 
 
 def _turbo_bc_impl(
@@ -305,7 +291,8 @@ def _turbo_bc_impl(
     direction: str = "auto",
     capture=None,
 ) -> BCResult:
-    """The body of :func:`turbo_bc` (which adds the OOM-advice guarantee)."""
+    """The body of :func:`turbo_bc`: resolve the configuration, admit the
+    batch and run the driver."""
     if isinstance(algorithm, str):
         algorithm = TurboBCAlgorithm(algorithm)
     if algorithm is None:
@@ -341,7 +328,7 @@ def _turbo_bc_impl(
     if batch > 1:
         need = max(
             _batched_footprint_bytes(graph, batch, fmt, admission_fdt, backward_dtype),
-            # the sequential float64 re-run of overflowed lanes
+            # the B = 1 float64 re-run of overflowed lanes
             _batched_footprint_bytes(graph, 1, fmt, worst_fdt, worst_bdt),
         )
         if not device.memory.fits(need):
@@ -367,143 +354,91 @@ def _turbo_bc_impl(
                 forward_dtype=admission_fdt, backward_dtype=backward_dtype,
             )
             raise exc
-        return _turbo_bc_batched(
-            graph,
-            src_list,
-            algorithm,
-            device,
-            forward_dtype=forward_dtype,
-            backward_dtype=backward_dtype,
-            batch=batch,
-            keep_forward=keep_forward,
-            direction=direction,
-            capture=capture,
-        )
-
-    if dtype_is_auto:
-        try:
-            return turbo_bc(
-                graph,
-                sources=sources,
-                algorithm=algorithm,
-                device=device,
-                forward_dtype=np.int32,
-                backward_dtype=backward_dtype,
-                batch_size=1,
-                keep_forward=keep_forward,
-                direction=direction,
-                _capture=capture,
-            )
-        except SigmaOverflowError:
-            logger.warning(
-                "sigma overflowed int32; re-running all %d source(s) in float64",
-                len(src_list),
-            )
-            tel = obs.get_telemetry()
-            if tel is not None and tel.metrics is not None:
-                tel.metrics.counter("sigma_overflow_reruns").inc(len(src_list))
-            device.reset()
-            return turbo_bc(
-                graph,
-                sources=sources,
-                algorithm=algorithm,
-                device=device,
-                forward_dtype=np.float64,
-                backward_dtype=np.float64,
-                batch_size=1,
-                keep_forward=keep_forward,
-                direction=direction,
-                _capture=capture,
-            )
-
-    t0 = time.perf_counter()
-    launches_before = device.profiler.total_launches()
-    gpu_time_before = device.profiler.total_time_s()
-    tel = obs.get_telemetry()
-    if tel is not None:
-        tel.bind_device(device)
-    ledger_mark = (
-        tel.ledger_mark() if tel is not None and tel.ledger is not None else None
+    return _turbo_bc_batched(
+        graph,
+        src_list,
+        algorithm,
+        device,
+        forward_dtype=forward_dtype,
+        backward_dtype=backward_dtype,
+        batch=batch,
+        keep_forward=keep_forward,
+        direction=direction,
+        capture=capture,
     )
-    device.memory.reset_run_peak()
 
-    with obs.span(
-        "bc_run",
-        algorithm=algorithm.label,
-        n=graph.n,
-        m=graph.m,
-        sources=len(src_list),
-        batch_size=1,
-    ):
-        ctx = TurboBCContext(
-            device,
-            graph,
-            algorithm.name,
-            forward_dtype=forward_dtype,
-            backward_dtype=backward_dtype,
-            direction=direction,
-        )
-        bc_accum = ctx.bc_arr.data  # float32 device vector
-        depths: list[int] = []
-        last_forward = None
-        if capture is not None:
-            capture.begin(forward_dtype)
-        scale = 0.5 if not graph.directed else 1.0
-        try:
-            for s in src_list:
-                with obs.span("source", source=s):
-                    fwd = bfs_forward(ctx, s)
-                    depths.append(fwd.depth)
-                    if keep_forward:
-                        last_forward = BFSResult(
-                            source=s,
-                            sigma=fwd.sigma.copy(),
-                            levels=fwd.levels.copy(),
-                            depth=fwd.depth,
-                            frontier_sizes=list(fwd.frontier_sizes),
-                        )
-                    delta = None
-                    if fwd.depth > 1:
-                        delta = accumulate_dependencies(ctx, fwd)
-                        FK.bc_update_kernel(
-                            device, bc_accum, delta, s, undirected=not graph.directed,
-                            tag=f"s={s}",
-                        )
-                    if capture is not None:
-                        # `scale * delta` is bitwise the addend the fold
-                        # kernel just accumulated; copied before the arena
-                        # slots are released below.
+
+def _bc_pass(ctx: TurboBCContext, sources: list[int], batch: int, *, strict: bool,
+             keep_last: int | None, capture, rerun: bool = False):
+    """Sweep ``sources`` through ``ctx`` in chunks of ``batch`` SpMM lanes.
+
+    Folds every lane's dependencies into the context's ``bc`` and returns
+    ``(depth per source, overflowed sources, forward result of keep_last)``.
+    A lane whose sigma overflows the forward dtype raises
+    :class:`SigmaOverflowError` when ``strict``; otherwise it is excluded
+    from the backward stage (its columns zeroed, its ``bc`` fold skipped)
+    and returned for a re-run.
+    """
+    device = ctx.device
+    graph = ctx.graph
+    scale = 0.5 if not graph.directed else 1.0
+    depth_map: dict[int, int] = {}
+    overflowed: list[int] = []
+    last_forward = None
+    for start in range(0, len(sources), batch):
+        chunk = sources[start : start + batch]
+        # a B = 1 chunk is one source's pipeline, and traces name it so
+        span = (obs.span("source", source=chunk[0]) if batch == 1
+                else obs.span("batch", sources=chunk))
+        with span:
+            fwd = bfs_forward_batch(ctx, chunk)
+            over = fwd.overflowed
+            if over.any():
+                if strict:
+                    bad = [chunk[j] for j in np.flatnonzero(over)]
+                    raise SigmaOverflowError(
+                        f"sigma overflowed dtype {fwd.sigma.dtype} during BFS "
+                        f"from source(s) {bad}"
+                    )
+                # Zero the overflowed lanes so the backward matrices hold no
+                # garbage (a zeroed column is an exact no-op in every
+                # kernel) and queue their sources for the re-run.
+                for j in np.flatnonzero(over):
+                    overflowed.append(chunk[j])
+                    fwd.sigma[:, j] = 0
+                    fwd.levels[:, j] = 0
+                    fwd.depths[j] = 0
+            for j, s in enumerate(chunk):
+                if not over[j]:
+                    depth_map[s] = fwd.depths[j]
+                    if s == keep_last:
+                        last_forward = fwd.lane(j)
+            delta = None
+            if fwd.depth > 1:
+                delta = accumulate_dependencies_batch(ctx, fwd)
+                tag = f"s={chunk[0]}..{chunk[-1]}" if batch > 1 else f"s={chunk[0]}"
+                FK.bc_update_batch_kernel(
+                    device,
+                    ctx.bc_arr.data,
+                    delta,
+                    chunk,
+                    undirected=not graph.directed,
+                    skip=over if over.any() else None,
+                    tag=tag + " f64" if rerun else tag,
+                )
+            if capture is not None:
+                # Folding a shallow lane's zero delta column is an exact
+                # no-op, so contrib None and the zero column are
+                # interchangeable.
+                for j, s in enumerate(chunk):
+                    if not over[j]:
                         capture.record(
-                            s, fwd.levels, fwd.sigma,
-                            None if delta is None else scale * delta,
-                            fwd.depth,
+                            s, fwd.levels[:, j], fwd.sigma[:, j],
+                            None if delta is None else scale * delta[:, j],
+                            fwd.depths[j], overflowed=rerun,
                         )
-                    ctx.release_source()
-            bc = ctx.close().astype(np.float64)
-        except BaseException:
-            ctx.abort()
-            raise
-        if tel is not None and ctx.dispatcher is not None:
-            tel.dispatch_decisions.extend(ctx.dispatcher.decisions)
-
-    stats = BCRunStats(
-        algorithm=algorithm.label,
-        n=graph.n,
-        m=graph.m,
-        sources=len(src_list),
-        gpu_time_s=device.profiler.total_time_s() - gpu_time_before,
-        kernel_launches=device.profiler.total_launches() - launches_before,
-        transfer_time_s=device.memory.transfer_time_s(),
-        peak_memory_bytes=device.memory.run_peak_bytes,
-        depth_per_source=depths,
-        wall_time_s=time.perf_counter() - t0,
-    )
-    if tel is not None and tel.ledger_active:
-        _append_ledger_record(
-            tel, ledger_mark, graph, algorithm, direction, 1, forward_dtype,
-            backward_dtype, src_list, stats, device, launches_before,
-        )
-    return BCResult(bc=bc, stats=stats, forward=last_forward, telemetry=tel)
+            ctx.release_source()
+    return depth_map, overflowed, last_forward
 
 
 def _turbo_bc_batched(
@@ -519,19 +454,20 @@ def _turbo_bc_batched(
     direction: str = "auto",
     capture=None,
 ) -> BCResult:
-    """The ``batch_size > 1`` driver: sources in chunks of B SpMM lanes.
+    """The driver: sources in chunks of B SpMM lanes (``B = 1`` is the
+    paper's per-source pipeline).
 
     With ``forward_dtype="auto"`` the main pass runs the paper's int32
     vectors; lanes whose sigma overflows are excluded from the backward
-    stage (their columns zeroed, their ``bc`` fold skipped) and re-run
-    sequentially in float64 after the batch context closes -- only the
-    affected sources pay the wide-dtype cost.  An explicitly requested
-    integer dtype raises :class:`SigmaOverflowError` instead, matching the
-    sequential driver.
+    stage and re-run one source at a time in float64 after the main
+    context closes -- only the affected sources pay the wide-dtype cost.
+    An explicitly requested integer dtype raises
+    :class:`SigmaOverflowError` instead.
     """
     dtype_is_auto = isinstance(forward_dtype, str) and forward_dtype == "auto"
     fdt = np.int32 if dtype_is_auto else np.dtype(forward_dtype)
-    scale = 0.5 if not graph.directed else 1.0
+    fmt = ALGORITHMS[algorithm.name][0]
+    keep_last = src_list[-1] if keep_forward and src_list else None
     if capture is not None:
         capture.begin(fdt)
 
@@ -554,92 +490,40 @@ def _turbo_bc_batched(
         sources=len(src_list),
         batch_size=batch,
     ):
-        ctx = TurboBCContext(
-            device,
-            graph,
-            algorithm.name,
-            forward_dtype=fdt,
-            backward_dtype=backward_dtype,
-            direction=direction,
-        )
-        bc_accum = ctx.bc_arr.data
-        depth_map: dict[int, int] = {}
-        rerun_sources: list[int] = []
-        last_forward = None
-        try:
-            for start in range(0, len(src_list), batch):
-                chunk = src_list[start : start + batch]
-                with obs.span("batch", sources=chunk):
-                    fwd = bfs_forward_batch(ctx, chunk)
-                    over = fwd.overflowed
-                    if over.any():
-                        if not dtype_is_auto:
-                            bad = [chunk[j] for j in np.flatnonzero(over)]
-                            raise SigmaOverflowError(
-                                f"sigma overflowed dtype {fdt} during BFS from "
-                                f"source(s) {bad}"
-                            )
-                        # Zero the overflowed lanes so the backward matrices
-                        # hold no garbage (a zeroed column is an exact no-op in
-                        # every batched kernel) and queue their sources for the
-                        # float64 re-run.
-                        for j in np.flatnonzero(over):
-                            rerun_sources.append(chunk[j])
-                            fwd.sigma[:, j] = 0
-                            fwd.levels[:, j] = 0
-                            fwd.depths[j] = 0
-                    for j, s in enumerate(chunk):
-                        if not over[j]:
-                            depth_map[s] = fwd.depths[j]
-                    if (
-                        keep_forward
-                        and chunk[-1] == src_list[-1]
-                        and not over[len(chunk) - 1]
-                    ):
-                        last_forward = fwd.lane(len(chunk) - 1)
-                    delta = None
-                    if fwd.depth > 1:
-                        delta = accumulate_dependencies_batch(ctx, fwd)
-                        FK.bc_update_batch_kernel(
-                            device,
-                            bc_accum,
-                            delta,
-                            chunk,
-                            undirected=not graph.directed,
-                            skip=over if over.any() else None,
-                            tag=f"s={chunk[0]}..{chunk[-1]}",
-                        )
-                    if capture is not None:
-                        # Overflowed lanes are recorded by the float64
-                        # re-run below; folding a shallow lane's zero delta
-                        # column is an exact no-op, so contrib None and the
-                        # zero column are interchangeable.
-                        for j, s in enumerate(chunk):
-                            if over[j]:
-                                continue
-                            capture.record(
-                                s, fwd.levels[:, j], fwd.sigma[:, j],
-                                None if delta is None else scale * delta[:, j],
-                                fwd.depths[j],
-                            )
-                    ctx.release_source()
-            bc = ctx.close().astype(np.float64)
-        except BaseException:
-            ctx.abort()
-            raise
+        with _oom_advice(graph, fmt, batch, fdt, backward_dtype):
+            ctx = TurboBCContext(
+                device,
+                graph,
+                algorithm.name,
+                forward_dtype=fdt,
+                backward_dtype=backward_dtype,
+                direction=direction,
+            )
+            try:
+                depth_map, rerun_sources, last_forward = _bc_pass(
+                    ctx, src_list, batch, strict=not dtype_is_auto,
+                    keep_last=keep_last, capture=capture,
+                )
+                bc = ctx.close().astype(np.float64)
+            except BaseException:
+                ctx.abort()
+                raise
         if tel is not None and ctx.dispatcher is not None:
             tel.dispatch_decisions.extend(ctx.dispatcher.decisions)
 
         if rerun_sources:
             logger.warning(
-                "sigma overflowed int32 in %d batched lane(s); re-running "
+                "sigma overflowed int32 in %d lane(s); re-running "
                 "source(s) %s in float64", len(rerun_sources), rerun_sources,
             )
             if tel is not None and tel.metrics is not None:
                 tel.metrics.counter("sigma_overflow_reruns").inc(len(rerun_sources))
-            # Re-run only the overflowed sources, sequentially, with float64
-            # vectors -- after the batch context released its working set.
-            with obs.span("rerun", sources=rerun_sources):
+            # Re-run only the overflowed sources, one at a time, with
+            # float64 vectors -- after the main context released its
+            # working set.
+            with obs.span("rerun", sources=rerun_sources), _oom_advice(
+                graph, fmt, 1, np.float64, np.float64
+            ):
                 rctx = TurboBCContext(
                     device,
                     graph,
@@ -648,40 +532,17 @@ def _turbo_bc_batched(
                     backward_dtype=np.float64,
                     direction=direction,
                 )
-                rbc = rctx.bc_arr.data
                 try:
-                    for s in rerun_sources:
-                        with obs.span("source", source=s):
-                            rfwd = bfs_forward(rctx, s)
-                            depth_map[s] = rfwd.depth
-                            if keep_forward and s == src_list[-1]:
-                                last_forward = BFSResult(
-                                    source=s,
-                                    sigma=rfwd.sigma.copy(),
-                                    levels=rfwd.levels.copy(),
-                                    depth=rfwd.depth,
-                                    frontier_sizes=list(rfwd.frontier_sizes),
-                                )
-                            rdelta = None
-                            if rfwd.depth > 1:
-                                rdelta = accumulate_dependencies(rctx, rfwd)
-                                FK.bc_update_kernel(
-                                    device, rbc, rdelta, s,
-                                    undirected=not graph.directed,
-                                    tag=f"s={s} f64",
-                                )
-                            if capture is not None:
-                                capture.record(
-                                    s, rfwd.levels, rfwd.sigma,
-                                    None if rdelta is None else scale * rdelta,
-                                    rfwd.depth,
-                                    overflowed=True,
-                                )
-                            rctx.release_source()
+                    rdepths, _, rlast = _bc_pass(
+                        rctx, rerun_sources, 1, strict=True, keep_last=keep_last,
+                        capture=capture, rerun=True,
+                    )
                     bc += rctx.close().astype(np.float64)
                 except BaseException:
                     rctx.abort()
                     raise
+                depth_map.update(rdepths)
+                last_forward = rlast or last_forward
                 if tel is not None and rctx.dispatcher is not None:
                     tel.dispatch_decisions.extend(rctx.dispatcher.decisions)
 

@@ -44,14 +44,6 @@ def turbo_bfs(
     ctx = TurboBCContext(device, graph, algorithm.name, forward_dtype=forward_dtype,
                          direction=direction)
     try:
-        fwd = bfs_forward(ctx, source)
-        result = BFSResult(
-            source=fwd.source,
-            sigma=fwd.sigma.copy(),
-            levels=fwd.levels.copy(),
-            depth=fwd.depth,
-            frontier_sizes=list(fwd.frontier_sizes),
-        )
+        return bfs_forward(ctx, source)
     finally:
         ctx.abort()
-    return result

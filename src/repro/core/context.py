@@ -23,28 +23,16 @@ from repro.obs import telemetry as obs
 from repro.spmv import (
     edgecsc_spmm,
     edgecsc_spmm_scatter,
-    edgecsc_spmv,
-    edgecsc_spmv_scatter,
     pullcsc_spmm,
     pullcsc_spmm_scatter,
-    pullcsc_spmv,
-    pullcsc_spmv_scatter,
     sccooc_spmm,
     sccooc_spmm_scatter,
-    sccooc_spmv,
-    sccooc_spmv_scatter,
     sccsc_spmm,
     sccsc_spmm_scatter,
-    sccsc_spmv,
-    sccsc_spmv_scatter,
     tcspmm_spmm,
     tcspmm_spmm_scatter,
-    tcspmm_spmv,
-    tcspmm_spmv_scatter,
     veccsc_spmm,
     veccsc_spmm_scatter,
-    veccsc_spmv,
-    veccsc_spmv_scatter,
 )
 
 #: Kernel name -> (storage format attribute, mask fused into the SpMV?)
@@ -63,20 +51,6 @@ ALGORITHMS = {
 }
 
 #: Adaptive strategy name -> kernel function, per product shape.
-_ADAPTIVE_SPMV = {
-    "sccooc": edgecsc_spmv,
-    "sccsc": sccsc_spmv,
-    "veccsc": veccsc_spmv,
-    "pullcsc": pullcsc_spmv,
-    "tcspmm": tcspmm_spmv,
-}
-_ADAPTIVE_SPMV_SCATTER = {
-    "sccooc": edgecsc_spmv_scatter,
-    "sccsc": sccsc_spmv_scatter,
-    "veccsc": veccsc_spmv_scatter,
-    "pullcsc": pullcsc_spmv_scatter,
-    "tcspmm": tcspmm_spmv_scatter,
-}
 _ADAPTIVE_SPMM = {
     "sccooc": edgecsc_spmm,
     "sccsc": sccsc_spmm,
@@ -95,14 +69,16 @@ _ADAPTIVE_SPMM_SCATTER = {
 #: Static CSC algorithm -> kernel function, per product shape (the
 #: ``sccooc`` algorithm runs over the COOC format and keeps its own
 #: branches below).
-_STATIC_SPMV = {k: _ADAPTIVE_SPMV[k] for k in ("sccsc", "veccsc", "pullcsc", "tcspmm")}
-_STATIC_SPMV_SCATTER = {
-    k: _ADAPTIVE_SPMV_SCATTER[k] for k in ("sccsc", "veccsc", "pullcsc", "tcspmm")
-}
 _STATIC_SPMM = {k: _ADAPTIVE_SPMM[k] for k in ("sccsc", "veccsc", "pullcsc", "tcspmm")}
 _STATIC_SPMM_SCATTER = {
     k: _ADAPTIVE_SPMM_SCATTER[k] for k in ("sccsc", "veccsc", "pullcsc", "tcspmm")
 }
+
+
+#: Device-array names of the per-source working set: the paper's vector
+#: names at ``B = 1``, capitalised for the ``(n, B)`` matrices of a batch.
+_MATRIX_NAMES = {k: k for k in ("F", "Ft", "Sigma", "Delta", "Delta_u", "Delta_ut")}
+_VECTOR_NAMES = {k: k.lower() for k in _MATRIX_NAMES}
 
 
 class TurboBCContext:
@@ -188,81 +164,51 @@ class TurboBCContext:
             )
         return self._arena
 
-    def alloc_forward(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Allocate ``f``/``ft`` (int), ``sigma`` (int), ``S`` (int32).
-
-        Returns the backing arrays for (sigma, S, f); ``ft`` lives inside the
-        SpMV call.  (The simulator charges the allocation; the CUDA code
-        holds ``ft`` as a separate device vector, so it is allocated here
-        too.)
-        """
-        n = self.graph.n
-        arena = self._ensure_arena(1)
-        self._forward_arrs = [
-            arena.carve("f", n, self.forward_dtype),
-            arena.carve("ft", n, self.forward_dtype),
-            arena.carve("sigma", n, self.forward_dtype),
-            arena.carve("S", n, np.int32),
-        ]
-        f, _ft, sigma, S = self._forward_arrs
-        return sigma.data, S.data, f.data
-
     def alloc_forward_batch(self, batch: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched :meth:`alloc_forward`: ``(n, B)`` matrices, lane per source.
+        """Allocate ``F``/``Ft`` (int), ``Sigma`` (int), ``S`` (int32) as
+        ``(n, B)`` matrices, one lane per source.
 
         Row-major layout keeps each vertex's B lane values contiguous -- the
         B-wide coalesced loads the SpMM cost model charges for.  Returns the
-        backing arrays for (Sigma, S, F).
+        backing arrays for (Sigma, S, F); ``Ft`` lives inside the SpMM call
+        (the simulator charges the allocation; the CUDA code holds ``Ft`` as
+        a separate device array, so it is allocated here too).
         """
         if batch < 1:
             raise ValueError(f"batch must be >= 1, got {batch}")
         n = self.graph.n
         arena = self._ensure_arena(batch)
+        names = _VECTOR_NAMES if batch == 1 else _MATRIX_NAMES
         self._forward_arrs = [
-            arena.carve("F", (n, batch), self.forward_dtype),
-            arena.carve("Ft", (n, batch), self.forward_dtype),
-            arena.carve("Sigma", (n, batch), self.forward_dtype),
+            arena.carve(names["F"], (n, batch), self.forward_dtype),
+            arena.carve(names["Ft"], (n, batch), self.forward_dtype),
+            arena.carve(names["Sigma"], (n, batch), self.forward_dtype),
             arena.carve("S", (n, batch), np.int32),
         ]
         f, _ft, sigma, S = self._forward_arrs
         return sigma.data, S.data, f.data
 
     def swap_to_backward_batch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched :meth:`swap_to_backward`: the Section 3.4 choreography on
-        ``(n, B)`` matrices.  The batched peak -- matrix + ``bc`` + ``Sigma``
-        + ``S`` + three delta matrices -- is the ``5nB + 2n + 1 + m`` words
-        of the batched footprint model."""
-        arena = self._arena
-        f, ft, sigma, S = self._forward_arrs
-        arena.release(f)
-        arena.release(ft)
-        self._forward_arrs = [sigma, S]
-        shape = sigma.shape
-        self._backward_arrs = [
-            arena.carve("Delta", shape, self.backward_dtype),
-            arena.carve("Delta_u", shape, self.backward_dtype),
-            arena.carve("Delta_ut", shape, self.backward_dtype),
-        ]
-        return tuple(a.data for a in self._backward_arrs)
-
-    def swap_to_backward(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Free ``f``/``ft`` and allocate the float backward vectors.
+        """Free ``F``/``Ft`` and allocate the float dependency matrices.
 
         This is the Section 3.4 memory optimization: the int frontier
-        vectors never coexist with all three float dependency vectors.
-        Returns (delta, delta_u, delta_ut) backing arrays.  ``sigma`` and
-        ``S`` survive the swap (the backward stage reads them).
+        arrays never coexist with all three float dependency arrays.  The
+        batched peak -- matrix + ``bc`` + ``Sigma`` + ``S`` + three delta
+        matrices -- is the ``5nB + 2n + 1 + m`` words of the batched
+        footprint model (``7n + 1 + m`` at ``B = 1``).  Returns the (Delta,
+        Delta_u, Delta_ut) backing arrays; ``Sigma`` and ``S`` survive the
+        swap (the backward stage reads them).
         """
         arena = self._arena
         f, ft, sigma, S = self._forward_arrs
         arena.release(f)
         arena.release(ft)
         self._forward_arrs = [sigma, S]
-        n = self.graph.n
+        shape = sigma.shape
+        names = _VECTOR_NAMES if shape[1] == 1 else _MATRIX_NAMES
         self._backward_arrs = [
-            arena.carve("delta", n, self.backward_dtype),
-            arena.carve("delta_u", n, self.backward_dtype),
-            arena.carve("delta_ut", n, self.backward_dtype),
+            arena.carve(names[name], shape, self.backward_dtype)
+            for name in ("Delta", "Delta_u", "Delta_ut")
         ]
         return tuple(a.data for a in self._backward_arrs)
 
@@ -351,57 +297,12 @@ class TurboBCContext:
             if prev is not None:
                 obs.activate(prev)
 
-    # -- SpMV dispatch ---------------------------------------------------------
-
-    def spmv_forward(
-        self, x: np.ndarray, sigma: np.ndarray, *, tag: str = ""
-    ) -> tuple[np.ndarray, KernelLaunch]:
-        """The line-19 product ``ft = A^T f`` with the selected kernel.
-
-        CSC kernels fuse the ``sigma == 0`` mask; the COOC kernel does not
-        (the mask runs in the update kernel instead).
-        """
-        if self.algorithm == "sccooc":
-            return sccooc_spmv(self.device, self.matrix, x, tag=tag)
-        if self.algorithm == "adaptive":
-            allowed = sigma == 0
-            kernel = self.dispatcher.choose_forward(x, allowed)
-            return self._adaptive_launch(
-                _ADAPTIVE_SPMV, kernel, x, allowed=allowed, tag=tag
-            )
-        return _STATIC_SPMV[self.algorithm](
-            self.device, self.matrix, x, allowed=sigma == 0, tag=tag
-        )
-
-    def spmv_backward(self, x: np.ndarray, *, tag: str = "") -> tuple[np.ndarray, KernelLaunch]:
-        """The line-37 product with the selected kernel.
-
-        Undirected graphs reuse the gather kernel (A is symmetric); digraphs
-        need dependencies to flow against edge direction, i.e. ``A x``,
-        served by the scatter variant of the *same* stored format (the
-        paper's single-format discipline is preserved -- see DESIGN.md on
-        this pseudocode correction).
-        """
-        if self.algorithm == "adaptive":
-            kernel = self.dispatcher.choose_backward(x)
-            table = _ADAPTIVE_SPMV_SCATTER if self.graph.directed else _ADAPTIVE_SPMV
-            return self._adaptive_launch(table, kernel, x, tag=tag)
-        if self.graph.directed:
-            if self.algorithm == "sccooc":
-                return sccooc_spmv_scatter(self.device, self.matrix, x, tag=tag)
-            return _STATIC_SPMV_SCATTER[self.algorithm](
-                self.device, self.matrix, x, tag=tag
-            )
-        if self.algorithm == "sccooc":
-            return sccooc_spmv(self.device, self.matrix, x, tag=tag)
-        return _STATIC_SPMV[self.algorithm](self.device, self.matrix, x, tag=tag)
-
-    # -- SpMM dispatch (batched) ----------------------------------------------
+    # -- SpMM dispatch --------------------------------------------------------
 
     def spmm_forward(
         self, X: np.ndarray, Sigma: np.ndarray, active: np.ndarray, *, tag: str = ""
     ) -> tuple[np.ndarray, KernelLaunch]:
-        """Batched line-19 product ``Ft = A^T F`` over all batch lanes.
+        """The line-19 product ``Ft = A^T F`` over all batch lanes.
 
         CSC kernels fuse the per-(column, lane) ``sigma == 0`` mask ANDed
         with the lane-active bitmap, so drained lanes cost nothing; the COOC
@@ -420,8 +321,14 @@ class TurboBCContext:
         )
 
     def spmm_backward(self, X: np.ndarray, *, tag: str = "") -> tuple[np.ndarray, KernelLaunch]:
-        """Batched line-37 product; same gather/scatter split as
-        :meth:`spmv_backward`."""
+        """The line-37 product over all batch lanes.
+
+        Undirected graphs reuse the gather kernel (A is symmetric); digraphs
+        need dependencies to flow against edge direction, i.e. ``A X``,
+        served by the scatter variant of the *same* stored format (the
+        paper's single-format discipline is preserved -- see DESIGN.md on
+        this pseudocode correction).
+        """
         if self.algorithm == "adaptive":
             kernel = self.dispatcher.choose_backward_batch(X)
             table = _ADAPTIVE_SPMM_SCATTER if self.graph.directed else _ADAPTIVE_SPMM
@@ -435,3 +342,8 @@ class TurboBCContext:
         if self.algorithm == "sccooc":
             return sccooc_spmm(self.device, self.matrix, X, tag=tag)
         return _STATIC_SPMM[self.algorithm](self.device, self.matrix, X, tag=tag)
+
+    # The benchmark's traced run wraps these two names (perfbench/spans.py);
+    # they are the B = 1 spelling of the products above.
+    spmv_forward = spmm_forward
+    spmv_backward = spmm_backward

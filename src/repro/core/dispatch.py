@@ -39,6 +39,7 @@ import numpy as np
 from repro.formats.csc import CSCMatrix
 from repro.gpusim import warp as W
 from repro.gpusim.device import DeviceSpec
+from repro.spmv._spmm import any_lane
 from repro.spmv.edgecsc import lookup_cycles
 from repro.spmv import sccsc as _sccsc
 from repro.spmv import veccsc as _veccsc
@@ -115,7 +116,7 @@ class DispatchDecision:
 
 
 class AdaptiveDispatcher:
-    """Chooses a kernel strategy per SpMV/SpMM launch from frontier stats."""
+    """Chooses a kernel strategy per SpMM launch from frontier stats."""
 
     def __init__(self, csc: CSCMatrix, spec: DeviceSpec, *, direction: str = "auto"):
         if direction not in DIRECTIONS:
@@ -128,10 +129,7 @@ class AdaptiveDispatcher:
         self.n = csc.n_cols
         self.m = csc.nnz
         self.deg = csc.column_counts().astype(np.int64)
-        if csc.nnz:
-            self.rowdeg = np.bincount(csc.row, minlength=csc.n_rows).astype(np.int64)
-        else:
-            self.rowdeg = np.zeros(csc.n_rows, dtype=np.int64)
+        self.rowdeg = csc.row_counts()
         self.decisions: list[DispatchDecision] = []
         self.last: DispatchDecision | None = None
 
@@ -411,39 +409,30 @@ class AdaptiveDispatcher:
 
     # -- per-launch choices (called by TurboBCContext) -----------------------
 
-    def choose_forward(self, x: np.ndarray, allowed: np.ndarray) -> str:
-        """Kernel for a forward-stage masked gather ``ft = A^T f``."""
-        return self._decide(
-            "forward", self._next_depth("forward"),
-            active_rows=x > 0, allowed=allowed, dtype=x.dtype,
-        ).kernel
-
-    def choose_backward(self, x: np.ndarray) -> str:
-        """Kernel for a backward-stage unmasked product (gather or scatter)."""
-        return self._decide(
-            "backward", self._next_depth("backward"),
-            active_rows=x > 0, allowed=None, dtype=x.dtype,
-        ).kernel
-
     def choose_forward_batch(self, X: np.ndarray, allowed: np.ndarray) -> str:
-        """Kernel for a batched forward masked gather ``Ft = A^T F``."""
+        """Kernel for a forward-stage masked gather ``Ft = A^T F``."""
         return self._decide(
             "forward", self._next_depth("forward"),
-            active_rows=(X > 0).any(axis=1),
-            allowed=allowed.any(axis=1),
+            active_rows=any_lane(X > 0),
+            allowed=any_lane(allowed),
             dtype=X.dtype,
             batch=X.shape[1],
         ).kernel
 
     def choose_backward_batch(self, X: np.ndarray) -> str:
-        """Kernel for a batched backward unmasked product."""
+        """Kernel for a backward-stage unmasked product (gather or scatter)."""
         return self._decide(
             "backward", self._next_depth("backward"),
-            active_rows=(X > 0).any(axis=1),
+            active_rows=any_lane(X > 0),
             allowed=None,
             dtype=X.dtype,
             batch=X.shape[1],
         ).kernel
+
+    # The benchmark's traced run wraps these two names (perfbench/spans.py);
+    # they are the B = 1 spelling of the choices above.
+    choose_forward = choose_forward_batch
+    choose_backward = choose_backward_batch
 
     def record_measured(self, kernel: str, launch) -> None:
         """Attach the measured modeled time of ``kernel`` to the last decision.

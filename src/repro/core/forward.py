@@ -1,10 +1,12 @@
 """The forward (BFS) stage of Algorithm 1, lines 11-28.
 
 Level-synchronous masked-SpMV BFS: each iteration multiplies the frontier
-vector by :math:`A^T`, masks out already-discovered vertices (``sigma != 0``)
-and folds the surviving path counts into ``sigma`` while stamping discovery
+by :math:`A^T`, masks out already-discovered vertices (``sigma != 0``) and
+folds the surviving path counts into ``sigma`` while stamping discovery
 depths into ``S``.  Two kernel launches per level, exactly as in the
-Figure 2 pipeline: the (init+)SpMV kernel and the update kernel.
+Figure 2 pipeline: the (init+)SpMV kernel and the update kernel.  A batch
+of B sources runs as the columns of ``n x B`` matrices through the same
+launches (one SpMM per level); one source is the ``B = 1`` batch.
 
 One pseudocode correction (documented in DESIGN.md §2): the printed
 Algorithm 1 never clears frontier entries of discovered vertices; the
@@ -31,72 +33,6 @@ class SigmaOverflowError(RuntimeError):
     """
 
 
-def bfs_forward(ctx: TurboBCContext, source: int) -> BFSResult:
-    """Run the forward stage from ``source`` on an initialised context.
-
-    The context must have its forward arrays allocated by the caller (the
-    driver owns the allocation choreography).  Returns the
-    :class:`BFSResult`; ``sigma``/``S`` stay device-resident for the
-    backward stage.
-    """
-    graph = ctx.graph
-    n = graph.n
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for n = {n}")
-    sigma, S, f = ctx.alloc_forward()
-
-    depth = 0
-    frontier_sizes: list[int] = []
-    tel = obs.get_telemetry()
-    with obs.span("forward", source=source, phase="forward"):
-        f[source] = 1
-        sigma[source] = 1
-        FK.init_source_kernel(ctx.device, n, tag="d=1")
-
-        converged = False
-        while not converged:
-            depth += 1
-            tag = f"d={depth}"
-            with obs.span("level", depth=depth) as sp:
-                ft, _ = ctx.spmv_forward(f, sigma, tag=tag)
-                if ctx.dispatcher is not None:
-                    sp.set(**ctx.dispatcher.last.span_attrs())
-                new_f, any_new, _ = FK.frontier_update_kernel(
-                    ctx.device, ft, sigma, S, depth, masked_spmv=ctx.mask_fused, tag=tag
-                )
-                f[...] = new_f
-                size = int(np.count_nonzero(new_f))
-                if any_new:
-                    frontier_sizes.append(size)
-                    sp.set(**FK.level_density(new_f, sigma))
-                    if tel is not None and tel.metrics is not None:
-                        tel.metrics.histogram("frontier_size").record(size)
-                # The host must read the convergence flag back each level to
-                # decide whether to launch the next one.
-                ctx.device.sync_readback(tag=tag)
-                converged = not any_new
-
-        depth -= 1  # the terminating iteration discovered nothing (line 29)
-        if tel is not None and tel.metrics is not None:
-            tel.metrics.histogram("bfs_depth").record(depth)
-    overflowed = (
-        np.any(sigma < 0)
-        if np.issubdtype(sigma.dtype, np.signedinteger)
-        else not np.all(np.isfinite(sigma))
-    )
-    if overflowed:
-        raise SigmaOverflowError(
-            f"sigma overflowed dtype {sigma.dtype} during BFS from {source}"
-        )
-    return BFSResult(
-        source=source,
-        sigma=sigma,
-        levels=S,
-        depth=depth,
-        frontier_sizes=frontier_sizes,
-    )
-
-
 def bfs_forward_batch(ctx: TurboBCContext, sources) -> BatchedBFSResult:
     """Run the forward stage for a whole batch of sources at once.
 
@@ -104,7 +40,7 @@ def bfs_forward_batch(ctx: TurboBCContext, sources) -> BatchedBFSResult:
     masked SpMM plus one batched update kernel.  The batch runs until every
     lane's frontier has drained (the per-lane convergence bitmap), with
     drained lanes masked out of the SpMM.  Per-lane results are bit-identical
-    to :func:`bfs_forward`.
+    to a ``B = 1`` run of the lane's source (:func:`bfs_forward`).
 
     Sigma overflow is reported per lane in the result's ``overflowed``
     bitmap instead of raising -- the driver re-runs only the affected
@@ -151,8 +87,9 @@ def bfs_forward_batch(ctx: TurboBCContext, sources) -> BatchedBFSResult:
                     frontier_sizes[j].append(size)
                     if tel is not None and tel.metrics is not None:
                         tel.metrics.histogram("frontier_size").record(size)
-                sp.set(**FK.level_density(newF, Sigma),
-                       active_lanes=int(got.sum()))
+                sp.set(active_lanes=int(got.sum()))
+                if got.any():
+                    sp.set(**FK.level_density(newF, Sigma))
                 depths[got] = depth
                 active &= got
         if tel is not None and tel.metrics is not None:
@@ -171,3 +108,17 @@ def bfs_forward_batch(ctx: TurboBCContext, sources) -> BatchedBFSResult:
         frontier_sizes=frontier_sizes,
         overflowed=overflowed,
     )
+
+
+def bfs_forward(ctx: TurboBCContext, source: int) -> BFSResult:
+    """The forward stage from one ``source``: the ``B = 1`` batch.
+
+    Returns the lane as a host-side :class:`BFSResult`; raises
+    :class:`SigmaOverflowError` if its sigma overflowed the forward dtype.
+    """
+    fwd = bfs_forward_batch(ctx, [source])
+    if fwd.overflowed[0]:
+        raise SigmaOverflowError(
+            f"sigma overflowed dtype {fwd.sigma.dtype} during BFS from {source}"
+        )
+    return fwd.lane(0)

@@ -48,120 +48,12 @@ def _stream_stats(
     )
 
 
-def init_source_kernel(device: Device, n: int, *, tag: str = "") -> KernelLaunch:
-    """Set ``f[s] = 1`` and ``sigma[s] = 1`` (Algorithm 1 lines 15-18)."""
-    stats = KernelStats(
-        name="bfs_init",
-        threads=1,
-        warp_cycles=2,
-        dram_write_bytes=2 * W.TRANSACTION_BYTES,
-        requested_load_bytes=0,
-    )
-    return device.launch(stats, tag=tag)
-
-
-def frontier_update_kernel(
-    device: Device,
-    ft: np.ndarray,
-    sigma: np.ndarray,
-    S: np.ndarray,
-    depth: int,
-    *,
-    masked_spmv: bool,
-    tag: str = "",
-) -> tuple[np.ndarray, bool, KernelLaunch]:
-    """Lines 20-27 of Algorithm 1: mask, depth stamp, sigma update, flag.
-
-    Computes the new frontier ``f = ft where sigma == 0 else 0``, stamps
-    ``S`` with the current depth and accumulates ``sigma`` for discovered
-    vertices, and returns the convergence flag ``c`` (any new vertex?).
-
-    ``masked_spmv``: when the SpMV already fused the sigma mask (CSC
-    kernels), this kernel skips the mask pass and reads one array less --
-    the COOC pipeline pays for its unmasked SpMV here.
-    """
-    n = sigma.size
-    if masked_spmv:
-        f = ft  # the SpMV produced zeros on discovered vertices already
-    else:
-        f = np.where(sigma == 0, ft, 0).astype(ft.dtype, copy=False)
-    touched = np.flatnonzero(f)
-    if touched.size:
-        S[touched] = depth
-        sigma[touched] += f[touched]
-    c = touched.size > 0
-    read_words = n if masked_spmv else 2 * n  # ft (+ sigma for the mask)
-    stats = _stream_stats(
-        "bfs_update",
-        n,
-        read_words=read_words,
-        sparse_writes=touched,
-        extra_cycles=2 * touched.size,  # sigma read-modify-write lanes
-    )
-    # S and sigma writes double the sparse write traffic.
-    stats = stats.merge(
-        KernelStats(
-            name="bfs_update",
-            dram_write_bytes=(W.gather_transactions(touched) if touched.size else 0)
-            * W.TRANSACTION_BYTES,
-        )
-    )
-    return f, c, device.launch(stats, tag=tag)
-
-
-def delta_u_kernel(
-    device: Device,
-    S: np.ndarray,
-    sigma: np.ndarray,
-    delta: np.ndarray,
-    depth: int,
-    *,
-    tag: str = "",
-) -> tuple[np.ndarray, KernelLaunch]:
-    """Lines 32-36: ``delta_u = (1 + delta) / sigma`` on the depth-d slice."""
-    sel = (S == depth) & (sigma > 0)
-    delta_u = np.zeros_like(delta)
-    idx = np.flatnonzero(sel)
-    if idx.size:
-        delta_u[idx] = (1.0 + delta[idx]) / sigma[idx]
-    stats = _stream_stats(
-        "delta_u",
-        sigma.size,
-        read_words=3 * sigma.size,  # S, sigma, delta
-        sparse_writes=idx,
-        extra_cycles=4 * idx.size,  # FP divide lanes
-    )
-    stats.flops = idx.size
-    return delta_u, device.launch(stats, tag=tag)
-
-
-def delta_update_kernel(
-    device: Device,
-    S: np.ndarray,
-    sigma: np.ndarray,
-    delta: np.ndarray,
-    delta_ut: np.ndarray,
-    depth: int,
-    *,
-    tag: str = "",
-) -> KernelLaunch:
-    """Lines 38-40: ``delta += delta_ut * sigma`` on the depth-(d-1) slice.
-
-    Mutates ``delta`` in place (it is a device-resident vector).
-    """
-    sel = S == (depth - 1)
-    idx = np.flatnonzero(sel)
-    if idx.size:
-        delta[idx] += delta_ut[idx] * sigma[idx]
-    stats = _stream_stats(
-        "delta_update",
-        sigma.size,
-        read_words=4 * sigma.size,  # S, sigma, delta, delta_ut
-        sparse_writes=idx,
-        extra_cycles=2 * idx.size,
-    )
-    stats.flops = 2 * idx.size
-    return device.launch(stats, tag=tag)
+def _flat(a: np.ndarray) -> np.ndarray:
+    """Row-major flat *view* of a C-contiguous ``(n, B)`` array, so element
+    updates through flat positions land in the array itself."""
+    if not a.flags.c_contiguous:
+        raise ValueError("frontier/dependency arrays must be C-contiguous")
+    return a.reshape(-1)
 
 
 def init_sources_kernel(
@@ -192,7 +84,7 @@ def frontier_update_batch_kernel(
 
     Operates on ``(n, B)`` arrays -- one BFS lane per column.  Drained lanes
     have all-zero frontier columns, so the elementwise update is a no-op for
-    them; every touched element gets exactly the per-source kernel's update
+    them; every touched element gets the same update as in a ``B = 1`` run
     (same expressions, same dtypes).  Returns the new frontier matrix, the
     per-lane count of newly discovered vertices (the convergence bitmap is
     ``counts > 0``), and the launch record.
@@ -203,25 +95,24 @@ def frontier_update_batch_kernel(
     else:
         F = np.where(Sigma == 0, Ft, Ft.dtype.type(0))
     touched = F != 0
-    rows, cols = np.nonzero(touched)
-    if rows.size:
-        S[touched] = depth
-        Sigma[touched] += F[touched]
+    flat = np.flatnonzero(touched)  # row-major element positions
+    if flat.size:
+        _flat(S)[flat] = depth
+        _flat(Sigma)[flat] += _flat(F)[flat]
     new_per_lane = np.count_nonzero(touched, axis=0)
     read_words = n * B if masked_spmv else 2 * n * B
-    flat = rows * B + cols  # row-major element positions for write accounting
     stats = _stream_stats(
         "bfs_update",
         n * B,
         read_words=read_words,
         sparse_writes=flat,
-        extra_cycles=2 * rows.size,  # sigma read-modify-write lanes
+        extra_cycles=2 * flat.size,  # sigma read-modify-write lanes
     )
     # S and Sigma writes double the sparse write traffic.
     stats = stats.merge(
         KernelStats(
             name="bfs_update",
-            dram_write_bytes=(W.gather_transactions(flat) if rows.size else 0)
+            dram_write_bytes=(W.gather_transactions(flat) if flat.size else 0)
             * W.TRANSACTION_BYTES,
         )
     )
@@ -243,20 +134,19 @@ def delta_u_batch_kernel(
     ``S`` column never reaches it), so a batch walks down from the deepest
     lane with shallow lanes riding along as exact no-ops.
     """
-    sel = (S == depth) & (Sigma > 0)
+    flat = np.flatnonzero((S == depth) & (Sigma > 0))
     Delta_u = np.zeros_like(Delta)
-    rows, cols = np.nonzero(sel)
-    if rows.size:
-        Delta_u[sel] = (1.0 + Delta[sel]) / Sigma[sel]
+    if flat.size:
+        _flat(Delta_u)[flat] = (1.0 + _flat(Delta)[flat]) / _flat(Sigma)[flat]
     n, B = Sigma.shape
     stats = _stream_stats(
         "delta_u",
         n * B,
         read_words=3 * n * B,  # S, Sigma, Delta
-        sparse_writes=rows * B + cols,
-        extra_cycles=4 * rows.size,  # FP divide lanes
+        sparse_writes=flat,
+        extra_cycles=4 * flat.size,  # FP divide lanes
     )
-    stats.flops = rows.size
+    stats.flops = flat.size
     return Delta_u, device.launch(stats, tag=tag)
 
 
@@ -272,19 +162,18 @@ def delta_update_batch_kernel(
 ) -> KernelLaunch:
     """Batched lines 38-40: ``Delta += Delta_ut * Sigma`` on the depth-(d-1)
     slice.  Mutates ``Delta`` in place."""
-    sel = S == (depth - 1)
-    rows, cols = np.nonzero(sel)
-    if rows.size:
-        Delta[sel] += Delta_ut[sel] * Sigma[sel]
+    flat = np.flatnonzero(S == (depth - 1))
+    if flat.size:
+        _flat(Delta)[flat] += _flat(Delta_ut)[flat] * _flat(Sigma)[flat]
     n, B = Sigma.shape
     stats = _stream_stats(
         "delta_update",
         n * B,
         read_words=4 * n * B,  # S, Sigma, Delta, Delta_ut
-        sparse_writes=rows * B + cols,
-        extra_cycles=2 * rows.size,
+        sparse_writes=flat,
+        extra_cycles=2 * flat.size,
     )
-    stats.flops = 2 * rows.size
+    stats.flops = 2 * flat.size
     return device.launch(stats, tag=tag)
 
 
@@ -300,9 +189,8 @@ def bc_update_batch_kernel(
 ) -> KernelLaunch:
     """Batched lines 43-47: fold every batch lane's ``delta`` into ``bc``.
 
-    Lanes are accumulated *in batch order* with the per-source kernel's
-    exact expression, so the float32 accumulation into ``bc`` matches the
-    sequential driver bit for bit.  ``skip`` masks out lanes whose sigma
+    Lanes are accumulated *in batch order*, one source at a time, so the
+    float32 accumulation into ``bc`` matches a ``B = 1`` run bit for bit.  ``skip`` masks out lanes whose sigma
     overflowed (their re-run accumulates instead).
     """
     n = bc.size
@@ -323,36 +211,6 @@ def bc_update_batch_kernel(
         extra_cycles=n * folded,
     )
     stats.flops = n * folded
-    return device.launch(stats, tag=tag)
-
-
-def bc_update_kernel(
-    device: Device,
-    bc: np.ndarray,
-    delta: np.ndarray,
-    source: int,
-    *,
-    undirected: bool,
-    tag: str = "",
-) -> KernelLaunch:
-    """Lines 43-47: accumulate ``bc += delta`` for every vertex but the source.
-
-    For undirected graphs the contribution is halved (Brandes'
-    double-counting compensation, Section 3.2).  Mutates ``bc`` in place.
-    """
-    n = bc.size
-    scale = 0.5 if undirected else 1.0
-    saved = bc[source]
-    bc += scale * delta
-    bc[source] = saved
-    stats = _stream_stats(
-        "bc_update",
-        n,
-        read_words=2 * n,  # bc, delta
-        dense_write_words=n,
-        extra_cycles=n,
-    )
-    stats.flops = n
     return device.launch(stats, tag=tag)
 
 

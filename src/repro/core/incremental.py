@@ -6,7 +6,7 @@ tractable: per-source work is a BFS DAG (depth stamps ``S`` + path counts
 sources whose DAG actually changes.  :class:`DynamicBC` -- the handle
 returned by ``turbo_bc(..., keep_state=True)`` -- retains per-source depth
 vectors, sigma counts and the exact per-source BC contribution folded by
-``bc_update_kernel``; :meth:`DynamicBC.update` then
+``bc_update_batch_kernel``; :meth:`DynamicBC.update` then
 
 1. applies the edit script to the graph (:meth:`Graph.apply_edits` -- a new
    immutable graph, so every identity-keyed structure cache dies with the
@@ -51,7 +51,7 @@ class SourceState:
     """Retained forward/backward state of one source.
 
     ``contrib`` is exactly the addend ``scale * delta`` that
-    ``bc_update_kernel`` folded for this source (``None`` when the BFS tree
+    ``bc_update_batch_kernel`` folded for this source (``None`` when the BFS tree
     had depth <= 1 and the driver skipped the backward stage), so re-folding
     stored contributions reproduces the driver's float32 accumulation bit
     for bit.
@@ -68,10 +68,10 @@ class SourceState:
 class StateCapture:
     """Collector the drivers fill when ``turbo_bc`` runs with a capture.
 
-    ``begin`` is called once per (re)started run -- the dtype-auto restart
-    calls it again with the promoted dtype, discarding the partial int32
-    states -- and ``record`` once per source, *before* the driver releases
-    the source's arena slots (the arrays are copied host-side here).
+    ``begin`` is called once per run and ``record`` once per source,
+    *before* the driver releases the source's arena slots (the arrays are
+    copied host-side here); sources re-run in float64 after an int32 sigma
+    overflow are recorded with ``overflowed=True``.
     """
 
     def __init__(self):
@@ -255,9 +255,9 @@ class DynamicBC:
         self._batch_size = batch_size
         self._direction = direction
         # True whenever the retained states were captured in the sigma
-        # overflow regime (promoted-f64 sequential restart or per-lane f64
-        # batched re-runs): the from-scratch fold there mixes dtypes, so
-        # updates recompute from scratch instead of re-folding.
+        # overflow regime (per-source f64 re-runs): the from-scratch fold
+        # there mixes dtypes, so updates recompute from scratch instead of
+        # re-folding.
         self._volatile_dtype = volatile_dtype
 
     # -- construction --------------------------------------------------------
@@ -293,12 +293,7 @@ class DynamicBC:
     @staticmethod
     def _capture_volatile(cap: StateCapture, forward_dtype) -> bool:
         dtype_is_auto = isinstance(forward_dtype, str) and forward_dtype == "auto"
-        if not dtype_is_auto:
-            return False
-        promoted = (
-            cap.forward_dtype is not None and cap.forward_dtype == np.float64
-        )
-        return promoted or cap.any_overflow
+        return dtype_is_auto and cap.any_overflow
 
     # -- convenience ---------------------------------------------------------
 
@@ -429,7 +424,7 @@ class DynamicBC:
         """Re-fold per-source contributions with the fold kernel's exact
         expression and order -- the bit-identity linchpin.
 
-        ``bc_update_kernel`` runs ``saved = bc[s]; bc += scale * delta;
+        ``bc_update_batch_kernel`` runs ``saved = bc[s]; bc += scale * delta;
         bc[s] = saved`` per source, in source order, into a zeroed
         backward-dtype vector; ``contrib`` stores ``scale * delta``
         verbatim, so replaying the same statements reproduces the driver's

@@ -92,8 +92,6 @@ class COOCMatrix(BinaryMatrixBase):
             )
         self._txn_cache: dict = {}
         self._col_counts: np.ndarray | None = None
-        self._col_ptr: np.ndarray | None = None
-        self._scatter_plan: tuple[np.ndarray, np.ndarray] | None = None
         if not _skip_checks:
             self._validate()
 
@@ -137,54 +135,34 @@ class COOCMatrix(BinaryMatrixBase):
             self._col_counts = np.bincount(self.col, minlength=self.n_cols).astype(INDEX_DTYPE)
         return self._col_counts
 
-    def column_ptr(self) -> np.ndarray:
-        """CSC-style column pointer over the column-sorted entries (cached).
-
-        Valid because COOC entries are sorted by column: entries of column
-        ``c`` occupy ``column_ptr()[c] .. column_ptr()[c + 1]``.
-        """
-        if self._col_ptr is None:
-            ptr = np.zeros(self.n_cols + 1, dtype=np.int64)
-            np.cumsum(self.column_counts(), out=ptr[1:])
-            self._col_ptr = ptr
-        return self._col_ptr
-
-    def scatter_plan(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row-major traversal plan ``(row_ptr, cols_in_row_order)`` (cached).
-
-        Same contract as :meth:`repro.formats.csc.CSCMatrix.scatter_plan`:
-        the stable sort preserves, per row, the storage order of the entries,
-        so batched scatter products accumulate in the per-source bincount
-        order.
-        """
-        if self._scatter_plan is None:
-            order = np.argsort(self.row, kind="stable")
-            counts = np.bincount(self.row, minlength=self.n_rows)
-            row_ptr = np.zeros(self.n_rows + 1, dtype=np.int64)
-            np.cumsum(counts, out=row_ptr[1:])
-            self._scatter_plan = (row_ptr, self.col[order])
-        return self._scatter_plan
+    def column_of_nnz(self) -> np.ndarray:
+        """Column index of every stored entry, in storage order: the ``col``
+        array itself (the same accessor as :meth:`CSCMatrix.column_of_nnz`,
+        so the kernels' numerics read both formats alike)."""
+        return self.col
 
     def row_counts(self) -> np.ndarray:
         """Out-degree of each row."""
         return np.bincount(self.row, minlength=self.n_rows).astype(INDEX_DTYPE)
 
     def full_gather_transactions(
-        self, which: str, element_bytes: int, *, l2_bytes: int | None = None
+        self, which: str, element_bytes: int, *, lanes: int = 1,
+        l2_bytes: int | None = None,
     ) -> int:
-        """L2-bounded DRAM transactions of a full warp gather through one of
-        the two index arrays -- the access pattern of the scCOOC kernel's
-        every launch, so it is computed once and cached per matrix.
+        """L2-bounded DRAM transactions of a full warp gather of
+        ``lanes``-wide frontier rows through one of the two index arrays --
+        the access pattern of the scCOOC kernel's every launch, so it is
+        computed once and cached per matrix.
         """
         from repro.gpusim import warp as W
 
         if l2_bytes is None:
             l2_bytes = W.L2_BYTES
-        key = (which, element_bytes, l2_bytes)
+        key = (which, element_bytes, lanes, l2_bytes)
         if key not in self._txn_cache:
             idx = self.row if which == "row" else self.col
             words = self.n_rows if which == "row" else self.n_cols
             self._txn_cache[key] = W.cached_gather_transactions(
-                idx, element_bytes, words, l2_bytes=l2_bytes
+                idx, element_bytes, words, lanes=lanes, l2_bytes=l2_bytes
             )
         return self._txn_cache[key]

@@ -42,7 +42,7 @@ class CSCMatrix(BinaryMatrixBase):
         self.version = int(version)
         self._col_of_nnz: np.ndarray | None = None
         self._col_counts: np.ndarray | None = None
-        self._scatter_plan: tuple[np.ndarray, np.ndarray] | None = None
+        self._row_counts: np.ndarray | None = None
         self._tile_plans: dict = {}
         self._txn_cache: dict = {}
         if not _skip_checks:
@@ -110,23 +110,13 @@ class CSCMatrix(BinaryMatrixBase):
             )
         return self._col_of_nnz
 
-    def scatter_plan(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row-major traversal plan ``(row_ptr, cols_in_row_order)``.
-
-        ``row_ptr[r] .. row_ptr[r + 1]`` slices ``cols_in_row_order`` into the
-        column indices of row ``r``'s stored entries, sorted ascending.  The
-        stable sort keeps each row's entries in the storage (column-major)
-        order, so a segment reduction over this plan accumulates scatter
-        products ``y = A x`` in exactly the order the per-source bincount
-        does.  Cached: the batched backward stage reuses it every level.
-        """
-        if self._scatter_plan is None:
-            order = np.argsort(self.row, kind="stable")
-            counts = np.bincount(self.row, minlength=self.n_rows)
-            row_ptr = np.zeros(self.n_rows + 1, dtype=np.int64)
-            np.cumsum(counts, out=row_ptr[1:])
-            self._scatter_plan = (row_ptr, self.column_of_nnz()[order])
-        return self._scatter_plan
+    def row_counts(self) -> np.ndarray:
+        """Entries per row (the out-degree).  Cached (do not mutate): the
+        pull scatter kernel and the adaptive dispatcher read it per level."""
+        if self._row_counts is None:
+            self._row_counts = np.bincount(
+                self.row, minlength=self.n_rows).astype(np.int64)
+        return self._row_counts
 
     def tile_plan(self, tile: int = 16) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Blocked tiling directory ``(tile_row, tile_col, tile_nnz)``.
@@ -134,9 +124,8 @@ class CSCMatrix(BinaryMatrixBase):
         Partitions the stored structure into ``tile x tile`` blocks and
         returns, for every *occupied* block, its block-row index, block-column
         index and stored-entry count, ordered by (block-column, block-row) --
-        the traversal order of the blocked tensor-core kernel.  Like
-        :meth:`scatter_plan` this is a host-side traversal plan derived from
-        the stored indices, not an extra device copy of the matrix, so it is
+        the traversal order of the blocked tensor-core kernel.  This is a
+        host-side traversal plan derived from the stored indices, not an extra device copy of the matrix, so it is
         never charged against the ``7n + 1 + m`` device budget.  Cached: the
         blocked kernel and the dispatcher's cost model read it every level.
         """
@@ -160,20 +149,30 @@ class CSCMatrix(BinaryMatrixBase):
         return self._tile_plans[tile]
 
     def full_gather_transactions(
-        self, element_bytes: int, *, l2_bytes: int | None = None
+        self,
+        element_bytes: int,
+        *,
+        lanes: int = 1,
+        columns: bool = False,
+        l2_bytes: int | None = None,
     ) -> int:
-        """L2-bounded DRAM transactions of a warp gather through the whole
-        ``row`` array -- the unmasked veCSC access pattern, cached because
-        the backward stage issues it once per level.
+        """L2-bounded DRAM transactions of a warp gather of ``lanes``-wide
+        frontier rows through the whole ``row`` array (or, with ``columns``,
+        at every entry's column index) -- the unmasked access patterns of the
+        veCSC and thread-per-edge kernels, cached because the backward stage
+        issues them once per level.
         """
         from repro.gpusim import warp as W
 
         if l2_bytes is None:
             l2_bytes = W.L2_BYTES
-        key = (element_bytes, l2_bytes)
+        key = (element_bytes, lanes, columns, l2_bytes)
         if key not in self._txn_cache:
+            idx, words = (
+                (self.column_of_nnz(), self.n_cols) if columns else (self.row, self.n_rows)
+            )
             self._txn_cache[key] = W.cached_gather_transactions(
-                self.row, element_bytes, self.n_rows, l2_bytes=l2_bytes
+                idx, element_bytes, words, lanes=lanes, l2_bytes=l2_bytes
             )
         return self._txn_cache[key]
 

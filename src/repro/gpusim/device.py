@@ -73,7 +73,7 @@ TITAN_XP = DeviceSpec()
 def _parse_slowdown(value: str) -> dict[str, float]:
     """Parse ``REPRO_INJECT_SLOWDOWN`` into ``{kernel_name: factor}``.
 
-    A bare number (``"2.0"``) slows every kernel; ``"sccsc_spmv:2,bfs:3"``
+    A bare number (``"2.0"``) slows every kernel; ``"sccsc_spmm:2,bfs:3"``
     slows only the named ones.  The hook scales *modeled time only* --
     results are untouched -- and exists so the perf-regression gate can be
     tested end-to-end against a genuine (injected) slowdown.

@@ -33,7 +33,7 @@ class KernelStats:
     Attributes
     ----------
     name:
-        Kernel identity, e.g. ``"sccsc_spmv"``; the profiler aggregates by it.
+        Kernel identity, e.g. ``"sccsc_spmm"``; the profiler aggregates by it.
     threads:
         Launched thread count.
     warp_cycles:

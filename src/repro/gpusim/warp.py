@@ -62,6 +62,7 @@ def gather_transactions(
     indices: np.ndarray,
     element_bytes: int = 4,
     *,
+    lanes: int = 1,
     warp_size: int = WARP_SIZE,
 ) -> int:
     """DRAM transactions for a warp-sequential gather at ``indices``.
@@ -71,11 +72,20 @@ def gather_transactions(
     This returns the exact number of distinct segments touched per warp,
     summed over all warps -- the quantity nvprof reports as
     ``gld_transactions`` for the access.
+
+    ``lanes > 1`` loads the whole ``lanes``-word row at each index (the
+    B-wide frontier rows of a batched kernel): a row narrower than a segment
+    merges like a wider element, a row of one segment or more costs
+    ``ceil(row bytes / 32)`` transactions per distinct row in the warp.
     """
     idx = np.asarray(indices)
     if idx.size == 0:
         return 0
-    segs = (idx.astype(np.int64) * element_bytes) // TRANSACTION_BYTES
+    row_bytes = lanes * element_bytes
+    per_row = 1
+    if row_bytes >= TRANSACTION_BYTES:
+        per_row, row_bytes = -(-row_bytes // TRANSACTION_BYTES), TRANSACTION_BYTES
+    segs = (idx.astype(np.int64) * row_bytes) // TRANSACTION_BYTES
     pad = (-segs.size) % warp_size
     if pad:
         # Pad with each warp's own last segment so padding never adds a
@@ -84,7 +94,7 @@ def gather_transactions(
     per_warp = segs.reshape(-1, warp_size)
     per_warp = np.sort(per_warp, axis=1)
     distinct = 1 + np.count_nonzero(np.diff(per_warp, axis=1), axis=1)
-    return int(distinct.sum())
+    return int(distinct.sum()) * per_row
 
 
 def cached_gather_transactions(
@@ -92,17 +102,20 @@ def cached_gather_transactions(
     element_bytes: int,
     array_words: int,
     *,
+    lanes: int = 1,
     l2_bytes: int = L2_BYTES,
 ) -> int:
     """Gather transactions with the L2 compulsory-miss bound applied.
 
     A kernel's random gathers into an array of ``array_words`` elements
-    cannot miss DRAM more often than the array has 32 B segments while the
-    array fits in L2; past L2 capacity the bound relaxes linearly (a
-    fraction ``l2 / footprint`` of segments stays resident).
+    (rows of ``lanes`` elements each) cannot miss DRAM more often than the
+    array has 32 B segments while the array fits in L2; past L2 capacity
+    the bound relaxes linearly (a fraction ``l2 / footprint`` of segments
+    stays resident).
     """
-    txn = gather_transactions(indices, element_bytes)
-    return _apply_l2_bound(txn, indices.size, element_bytes, array_words, l2_bytes)
+    txn = gather_transactions(indices, element_bytes, lanes=lanes)
+    return _apply_l2_bound(txn, indices.size * lanes, element_bytes,
+                           array_words * lanes, l2_bytes)
 
 
 def capped_random_transactions(
@@ -169,6 +182,7 @@ def scalar_gather_transactions(
     array_words: int,
     element_bytes: int = 4,
     *,
+    lanes: int = 1,
     miss_rate: float = 0.25,
     l2_bytes: int = L2_BYTES,
 ) -> int:
@@ -179,16 +193,18 @@ def scalar_gather_transactions(
     once the array outgrows a fraction of L2 the scattered reuse window
     collapses and a ``miss_rate`` share of the accesses goes to DRAM.  The
     floor scales with the footprint/L2 pressure, so small working sets keep
-    their cache residency (as on real hardware).
+    their cache residency (as on real hardware).  ``lanes > 1`` loads a
+    ``lanes``-word row per access (:func:`bwide_gather_transactions`).
     """
     if n_accesses < 0 or array_words < 0:
         raise ValueError("counts must be non-negative")
-    capped = capped_random_transactions(
-        n_accesses, array_words, element_bytes, l2_bytes=l2_bytes
+    capped = bwide_gather_transactions(
+        n_accesses, lanes, array_words, element_bytes, l2_bytes=l2_bytes
     )
-    footprint = array_words * element_bytes
+    per_row = -(-lanes * element_bytes // TRANSACTION_BYTES)
+    footprint = array_words * lanes * element_bytes
     pressure = min(1.0, footprint / l2_bytes) if l2_bytes else 1.0
-    return max(capped, int(n_accesses * miss_rate * pressure))
+    return max(capped, int(n_accesses * per_row * miss_rate * pressure))
 
 
 def max_warp_cycles(

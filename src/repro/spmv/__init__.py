@@ -18,60 +18,39 @@ kernel        parallelisation    sweet spot
                                  shuffle reduction
 ============  =================  ===========================================
 
-Every kernel function returns ``(y, KernelLaunch)``: the numerically exact
-result computed with vectorised NumPy, and the launch record carrying the
-structure-exact hardware statistics of the equivalent CUDA kernel.
+Every kernel multiplies the stored matrix by an ``n x B`` frontier
+*matrix* -- one column per BFS source -- in a single launch; the paper's
+per-source SpMV is the ``B = 1`` column of that SpMM (Solomonik et al.'s
+multi-source formulation), so there is one entry point per product:
 
-All "forward" kernels compute the gather product ``y = A^T x`` (per stored
-entry ``(r, c)``: ``y[c] += x[r]``); the ``_scatter`` variants compute
-``y = A x`` (``y[r] += x[c]``), which the backward stage of *directed*
-graphs needs -- both read the same single stored format, preserving the
-paper's one-format-per-run memory discipline.
+========================  ====================================================
+``<kernel>_spmm``         masked gather ``Y = A^T X`` (per stored entry
+                          ``(r, c)``: ``Y[c] += X[r]``) -- the forward stage,
+                          and the backward stage of undirected graphs
+``<kernel>_spmm_scatter`` scatter ``Y = A X`` (``Y[r] += X[c]``) -- the
+                          backward stage of *directed* graphs; both read the
+                          same single stored format, preserving the paper's
+                          one-format-per-run memory discipline
+``reference_spmm[...]``   the plain NumPy oracles the kernels are tested
+                          against
+========================  ====================================================
 
-Each kernel also has an ``_spmm`` variant that multiplies by an ``n x B``
-frontier *matrix* (one column per BFS source) in a single launch: the sparse
-structure is scanned once for the whole batch and frontier rows are loaded
-B-wide (coalesced), which is what makes the batched driver fast.  Lane
-results are bit-identical to B per-source SpMV calls (see
-:mod:`repro.spmv._spmm`).
+Every kernel function returns ``(Y, KernelLaunch)``: the numerically exact
+result, computed once for all kernels in :mod:`repro.spmv._spmm`, and the
+launch record carrying the structure-exact hardware statistics of the
+equivalent CUDA kernel.  Each kernel has one cost formula: at ``B = 1`` it
+is the paper's SpMV cost, and a sparse structure scanned once for the whole
+batch with frontier rows loaded B-wide (coalesced) is what makes wide
+batches fast.  A lane of a batched product is bit-identical to that
+source's ``B = 1`` product.
 """
 
-from repro.spmv.edgecsc import (
-    edgecsc_spmm,
-    edgecsc_spmm_scatter,
-    edgecsc_spmv,
-    edgecsc_spmv_scatter,
-)
-from repro.spmv.sccooc import (
-    sccooc_spmm,
-    sccooc_spmm_scatter,
-    sccooc_spmv,
-    sccooc_spmv_scatter,
-)
-from repro.spmv.sccsc import (
-    sccsc_spmm,
-    sccsc_spmm_scatter,
-    sccsc_spmv,
-    sccsc_spmv_scatter,
-)
-from repro.spmv.veccsc import (
-    veccsc_spmm,
-    veccsc_spmm_scatter,
-    veccsc_spmv,
-    veccsc_spmv_scatter,
-)
-from repro.spmv.pullcsc import (
-    pullcsc_spmm,
-    pullcsc_spmm_scatter,
-    pullcsc_spmv,
-    pullcsc_spmv_scatter,
-)
-from repro.spmv.tcspmm import (
-    tcspmm_spmm,
-    tcspmm_spmm_scatter,
-    tcspmm_spmv,
-    tcspmm_spmv_scatter,
-)
+from repro.spmv.edgecsc import edgecsc_spmm, edgecsc_spmm_scatter
+from repro.spmv.sccooc import sccooc_spmm, sccooc_spmm_scatter
+from repro.spmv.sccsc import sccsc_spmm, sccsc_spmm_scatter
+from repro.spmv.veccsc import veccsc_spmm, veccsc_spmm_scatter
+from repro.spmv.pullcsc import pullcsc_spmm, pullcsc_spmm_scatter
+from repro.spmv.tcspmm import tcspmm_spmm, tcspmm_spmm_scatter
 from repro.spmv.reference import (
     reference_spmm,
     reference_spmm_scatter,
@@ -92,28 +71,16 @@ __all__ = [
     "EXTENDED_KERNEL_NAMES",
     "edgecsc_spmm",
     "edgecsc_spmm_scatter",
-    "edgecsc_spmv",
-    "edgecsc_spmv_scatter",
     "sccooc_spmm",
     "sccooc_spmm_scatter",
-    "sccooc_spmv",
-    "sccooc_spmv_scatter",
     "sccsc_spmm",
     "sccsc_spmm_scatter",
-    "sccsc_spmv",
-    "sccsc_spmv_scatter",
     "veccsc_spmm",
     "veccsc_spmm_scatter",
-    "veccsc_spmv",
-    "veccsc_spmv_scatter",
     "pullcsc_spmm",
     "pullcsc_spmm_scatter",
-    "pullcsc_spmv",
-    "pullcsc_spmv_scatter",
     "tcspmm_spmm",
     "tcspmm_spmm_scatter",
-    "tcspmm_spmv",
-    "tcspmm_spmv_scatter",
     "reference_spmm",
     "reference_spmm_scatter",
     "reference_spmv",

@@ -23,6 +23,12 @@ graphs never happens.
 Numerics are byte-for-byte the CSC kernels' bincount over column-major
 storage order, so per-level switching between this kernel and
 scCSC/veCSC is bit-identical to any static kernel choice.
+
+The batched form keeps the thread-per-edge shape over an ``n x B``
+frontier matrix: each thread locates its column once (one lookup amortised
+B-fold), fetches its B-wide frontier row and issues one atomic per
+contributing lane into the destination's B-wide row.  ``B = 1`` is the
+SpMV.
 """
 
 from __future__ import annotations
@@ -55,159 +61,67 @@ def _lookup_txn(csc: CSCMatrix, l2_bytes: int) -> int:
     return W.capped_random_transactions(csc.nnz, csc.n_cols + 1, 4, l2_bytes=l2_bytes)
 
 
-def edgecsc_spmv(
-    device: Device,
+def _edgecsc_stats(
     csc: CSCMatrix,
-    x: np.ndarray,
+    p: M.Product,
+    name: str,
+    l2_bytes: int,
     *,
-    allowed: np.ndarray | None = None,
-    out_dtype=None,
-    tag: str = "",
-) -> tuple[np.ndarray, KernelLaunch]:
-    """Masked gather product ``y = A^T x``, one thread per stored entry.
+    loads: np.ndarray | None,
+    stores: np.ndarray,
+    store_words: int,
+    lane_hits: int,
+) -> KernelStats:
+    """Hardware stats for a thread-per-edge pass.
 
-    Semantically identical to :func:`repro.spmv.sccsc.sccsc_spmv` -- only
-    the hardware cost differs (flat per-edge work + CP_A lookup instead of
-    a per-column scan).
+    ``loads`` are the frontier rows the gather threads load (storage order;
+    ``None`` for the scatter's load at every entry's column, which is
+    cached per matrix), ``stores`` the destinations of the contributing entries' atomics
+    and ``lane_hits`` their (entry, lane) count.
     """
-    x = np.asarray(x)
-    if x.shape != (csc.n_rows,):
-        raise ValueError(f"x must have shape ({csc.n_rows},), got {x.shape}")
-    n = csc.n_cols
-    if allowed is None:
-        allowed = np.ones(n, dtype=bool)
-    else:
-        allowed = np.asarray(allowed)
-        if allowed.shape != (n,) or allowed.dtype != bool:
-            raise ValueError(f"allowed must be a boolean mask of shape ({n},)")
-
-    col_of_nnz = csc.column_of_nnz()
-    sel = allowed[col_of_nnz]
-    sel_rows = csc.row[sel]
-    vals = x[sel_rows]
-    sums = np.bincount(col_of_nnz[sel], weights=vals, minlength=n)
-    out_dtype = out_dtype or x.dtype
-    y = np.zeros(n, dtype=out_dtype)
-    written = sums > 0
-    with np.errstate(invalid="ignore"):  # int overflow surfaces via the sigma check
-        y[written] = sums[written].astype(out_dtype, copy=False)
-
     m = csc.nnz
-    l2 = device.spec.l2_bytes
-    itemsize = x.dtype.itemsize
-    dtype_factor = W.dtype_cycle_factor(x.dtype)
-    contrib = vals > 0
-    n_contrib = int(np.count_nonzero(contrib))
-    dst_contrib = col_of_nnz[sel][contrib]
+    B = p.B
+    item = p.dtype.itemsize
+    df = W.dtype_cycle_factor(p.dtype)
+    look = lookup_cycles(csc.n_cols)
+    if loads is None:
+        # consecutive threads of a column read the same frontier row, so the
+        # gather merges like one at the column indices themselves (its
+        # requests ride on the row_A sweep's)
+        x_txn = csc.full_gather_transactions(item, lanes=B, columns=True,
+                                             l2_bytes=l2_bytes)
+        n_loads = 0
+    else:
+        x_txn = W.cached_gather_transactions(loads, item, csc.n_rows, lanes=B,
+                                             l2_bytes=l2_bytes)
+        n_loads = int(loads.size)
     read_txn = (
         W.coalesced_transactions(m)                      # row_A sweep
-        + _lookup_txn(csc, l2)                           # CP_A binary search
-        + W.cached_gather_transactions(sel_rows, itemsize, csc.n_rows, l2_bytes=l2)
+        + _lookup_txn(csc, l2_bytes)                     # CP_A binary search
+        + x_txn
     )
+    n_stores = int(stores.size)
     write_txn = (
-        W.cached_gather_transactions(dst_contrib, itemsize, n, l2_bytes=l2)
-        if n_contrib
+        W.cached_gather_transactions(stores, item, store_words, lanes=B,
+                                     l2_bytes=l2_bytes)
+        if n_stores
         else 0
     )
-    serial = (
-        int(np.bincount(dst_contrib, minlength=1).max()) * dtype_factor
-        if n_contrib
-        else 0
-    )
-    look = lookup_cycles(n)
-    stats = KernelStats(
-        name="edgecsc_spmv",
+    return KernelStats(
+        name=name,
         threads=m,
         warp_cycles=(
             W.uniform_warp_cycles(m, _BASE_CYCLES + look)
-            + W.warp_count(n_contrib) * _ACTIVE_CYCLES * dtype_factor
-            + W.atomic_conflict_cycles(dst_contrib) * dtype_factor
+            + W.warp_count(lane_hits) * _ACTIVE_CYCLES * df
+            + W.atomic_conflict_cycles(stores) * df
         ),
         dram_read_bytes=(read_txn + write_txn) * W.TRANSACTION_BYTES,
         dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
-        requested_load_bytes=(2 * m + int(sel_rows.size) + 2 * n_contrib) * itemsize,
-        serial_updates=serial,
-        critical_warp_cycles=_BASE_CYCLES + look + _ACTIVE_CYCLES,  # flat per-edge work
-        flops=n_contrib,
+        requested_load_bytes=(2 * m + n_loads * B + n_stores + lane_hits) * item,
+        serial_updates=int(np.bincount(stores).max()) * df if n_stores else 0,
+        critical_warp_cycles=_BASE_CYCLES + look + _ACTIVE_CYCLES * B,  # flat per-edge work
+        flops=lane_hits,
     )
-    return y, device.launch(stats, tag=tag)
-
-
-def edgecsc_spmv_scatter(
-    device: Device,
-    csc: CSCMatrix,
-    x: np.ndarray,
-    *,
-    out_dtype=None,
-    tag: str = "",
-) -> tuple[np.ndarray, KernelLaunch]:
-    """Scatter product ``y = A x``, one thread per stored entry.
-
-    Each thread whose column value is positive atomically adds it to its
-    row's ``y`` entry; used by the backward stage on digraphs.
-    """
-    x = np.asarray(x)
-    if x.shape != (csc.n_cols,):
-        raise ValueError(f"x must have shape ({csc.n_cols},), got {x.shape}")
-    n = csc.n_cols
-    active = x > 0
-    col_of_nnz = csc.column_of_nnz()
-    sel = active[col_of_nnz]
-    rows_sel = csc.row[sel]
-    out_dtype = out_dtype or x.dtype
-    y = np.zeros(csc.n_rows, dtype=out_dtype)
-    if rows_sel.size:
-        acc = np.bincount(rows_sel, weights=x[col_of_nnz[sel]], minlength=csc.n_rows)
-        with np.errstate(invalid="ignore"):
-            y[: acc.size] = acc.astype(out_dtype, copy=False)
-
-    m = csc.nnz
-    l2 = device.spec.l2_bytes
-    itemsize = x.dtype.itemsize
-    dtype_factor = W.dtype_cycle_factor(x.dtype)
-    n_contrib = int(rows_sel.size)
-    # x gather: consecutive threads of a column read the same x word, so the
-    # access merges like a gather at the column indices themselves.
-    read_txn = (
-        W.coalesced_transactions(m)
-        + _lookup_txn(csc, l2)
-        + W.cached_gather_transactions(col_of_nnz, itemsize, n, l2_bytes=l2)
-    )
-    write_txn = (
-        W.cached_gather_transactions(rows_sel, itemsize, csc.n_rows, l2_bytes=l2)
-        if n_contrib
-        else 0
-    )
-    serial = (
-        int(np.bincount(rows_sel, minlength=1).max()) * dtype_factor
-        if n_contrib
-        else 0
-    )
-    look = lookup_cycles(n)
-    stats = KernelStats(
-        name="edgecsc_spmv_scatter",
-        threads=m,
-        warp_cycles=(
-            W.uniform_warp_cycles(m, _BASE_CYCLES + look)
-            + W.warp_count(n_contrib) * _ACTIVE_CYCLES * dtype_factor
-            + W.atomic_conflict_cycles(rows_sel) * dtype_factor
-        ),
-        dram_read_bytes=(read_txn + write_txn) * W.TRANSACTION_BYTES,
-        dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
-        requested_load_bytes=(2 * m + 2 * n_contrib) * itemsize,
-        serial_updates=serial,
-        critical_warp_cycles=_BASE_CYCLES + look + _ACTIVE_CYCLES,
-        flops=n_contrib,
-    )
-    return y, device.launch(stats, tag=tag)
-
-
-# -- batched (SpMM) variants --------------------------------------------------
-#
-# The SpMM keeps the thread-per-edge shape: each thread locates its column
-# once (one lookup amortised B-fold versus B SpMV launches), reads the
-# B-wide lane mask, fetches the B-wide frontier row coalesced, and issues
-# one atomic per contributing lane into the destination's B-wide row.
 
 
 def edgecsc_spmm(
@@ -219,69 +133,21 @@ def edgecsc_spmm(
     out_dtype=None,
     tag: str = "",
 ) -> tuple[np.ndarray, KernelLaunch]:
-    """Masked batched gather product ``Y = A^T X``, one thread per entry.
+    """Masked gather product ``Y = A^T X``, one thread per stored entry.
 
-    Lane results are bit-identical to B separate :func:`edgecsc_spmv`
-    calls (the same storage-order accumulation as the CSC SpMM kernels).
+    Semantically identical to :func:`repro.spmv.sccsc.sccsc_spmm` -- only
+    the hardware cost differs (flat per-edge work + CP_A lookup instead of
+    a per-column scan).  Threads of masked columns stop at the mask.
     """
-    X = M.as_frontier_matrix(X, csc.n_rows)
-    n = csc.n_cols
-    B = X.shape[1]
-    if allowed is None:
-        allowed = np.ones((n, B), dtype=bool)
-    else:
-        allowed = M.check_allowed_matrix(allowed, n, B)
-    col_select = allowed.any(axis=1)
-    sums = M.gather_spmm_values(
-        csc.row, csc.col_ptr, X, None if col_select.all() else col_select
+    p = M.gather_product(csc, X, allowed, out_dtype)
+    col_of_nnz = csc.column_of_nnz()
+    sel_rows = csc.row[(p.lanes > 0)[col_of_nnz]] if p.masked else csc.row
+    stats = _edgecsc_stats(
+        csc, p, "edgecsc_spmm", device.spec.l2_bytes,
+        loads=sel_rows, stores=col_of_nnz[p.kept], store_words=csc.n_cols,
+        lane_hits=p.lane_hits(csc.row, col_of_nnz),
     )
-    if not allowed.all():
-        sums[~allowed] = 0.0
-    out_dtype = out_dtype or X.dtype
-    Y = M.cast_like_spmv(sums, out_dtype, positive_only=True)
-
-    m = csc.nnz
-    l2 = device.spec.l2_bytes
-    itemsize = X.dtype.itemsize
-    dtype_factor = W.dtype_cycle_factor(X.dtype)
-    degrees = csc.column_counts()
-    lanes = allowed.sum(axis=1, dtype=np.int64)
-    scanned = np.where(lanes > 0, degrees, 0).astype(np.int64)
-    total_scanned = int(scanned.sum())
-    lane_entries = int((scanned * lanes).sum())
-    sel = col_select[csc.column_of_nnz()]
-    dst_sel = csc.column_of_nnz()[sel]
-    written_cols = int(np.count_nonzero((sums > 0).any(axis=1)))
-    look = lookup_cycles(n)
-    read_txn = (
-        W.coalesced_transactions(m)                                  # row_A sweep
-        + _lookup_txn(csc, l2)                                       # CP_A search
-        + W.coalesced_transactions(m * B, 1)                         # lane-mask rows
-        + W.bwide_gather_transactions(total_scanned, B, csc.n_rows, itemsize,
-                                      l2_bytes=l2)
-    )
-    write_txn = (
-        W.bwide_gather_transactions(written_cols, B, n, itemsize, l2_bytes=l2)
-        if written_cols
-        else 0
-    )
-    serial = int(np.bincount(dst_sel, minlength=1).max()) * dtype_factor if dst_sel.size else 0
-    stats = KernelStats(
-        name="edgecsc_spmm",
-        threads=m,
-        warp_cycles=(
-            W.uniform_warp_cycles(m, _BASE_CYCLES + look)
-            + W.warp_count(lane_entries) * _ACTIVE_CYCLES * dtype_factor
-            + W.atomic_conflict_cycles(dst_sel) * dtype_factor
-        ),
-        dram_read_bytes=(read_txn + write_txn) * W.TRANSACTION_BYTES,
-        dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
-        requested_load_bytes=(m + total_scanned) * 4 + (m * B + lane_entries) * itemsize,
-        serial_updates=serial,
-        critical_warp_cycles=_BASE_CYCLES + look + _ACTIVE_CYCLES * B,
-        flops=lane_entries,
-    )
-    return Y, device.launch(stats, tag=tag)
+    return p.Y, device.launch(stats, tag=tag)
 
 
 def edgecsc_spmm_scatter(
@@ -292,62 +158,17 @@ def edgecsc_spmm_scatter(
     out_dtype=None,
     tag: str = "",
 ) -> tuple[np.ndarray, KernelLaunch]:
-    """Batched scatter product ``Y = A X``, one thread per entry.
+    """Scatter product ``Y = A X``, one thread per stored entry.
 
-    Lane results are bit-identical to B separate
-    :func:`edgecsc_spmv_scatter` calls (the scatter plan's stable ordering
-    preserves the per-source accumulation order).
+    Each thread whose column has a positive lane value atomically adds it
+    to its row's ``Y`` row; used by the backward stage on digraphs.  The
+    frontier gather at the column indices merges across the consecutive
+    threads of a column.
     """
-    X = M.as_frontier_matrix(X, csc.n_cols)
-    n = csc.n_cols
-    B = X.shape[1]
-    Xp = np.where(X > 0, X, X.dtype.type(0))
-    row_ptr, cols_in_row_order = csc.scatter_plan()
-    sums = M.scatter_spmm_values(row_ptr, cols_in_row_order, Xp)
-    out_dtype = out_dtype or X.dtype
-    Y = M.cast_like_spmv(sums, out_dtype, positive_only=False)
-
-    m = csc.nnz
-    l2 = device.spec.l2_bytes
-    itemsize = X.dtype.itemsize
-    dtype_factor = W.dtype_cycle_factor(X.dtype)
-    col_of_nnz = csc.column_of_nnz()
-    lanes_per_col = np.count_nonzero(Xp, axis=1).astype(np.int64)
-    entry_lanes = lanes_per_col[col_of_nnz]
-    lane_entries = int(entry_lanes.sum())
-    contrib = entry_lanes > 0
-    rows_contrib = csc.row[contrib]
-    look = lookup_cycles(n)
-    read_txn = (
-        W.coalesced_transactions(m)
-        + _lookup_txn(csc, l2)
-        + W.bwide_gather_transactions(m, B, n, itemsize, l2_bytes=l2)
+    p = M.scatter_product(csc, X, out_dtype)
+    stats = _edgecsc_stats(
+        csc, p, "edgecsc_spmm_scatter", device.spec.l2_bytes,
+        loads=None, stores=csc.row[p.kept], store_words=csc.n_rows,
+        lane_hits=int(p.lanes[csc.column_of_nnz()[p.kept]].sum()),
     )
-    write_txn = (
-        W.bwide_gather_transactions(int(rows_contrib.size), B, csc.n_rows, itemsize,
-                                    l2_bytes=l2)
-        if rows_contrib.size
-        else 0
-    )
-    serial = (
-        int(np.bincount(rows_contrib, minlength=1).max()) * dtype_factor
-        if rows_contrib.size
-        else 0
-    )
-    stats = KernelStats(
-        name="edgecsc_spmm_scatter",
-        threads=m,
-        warp_cycles=(
-            W.uniform_warp_cycles(m, _BASE_CYCLES + look)
-            + W.warp_count(lane_entries) * _ACTIVE_CYCLES * dtype_factor
-            + W.atomic_conflict_cycles(rows_contrib) * dtype_factor
-        ),
-        dram_read_bytes=(read_txn + write_txn) * W.TRANSACTION_BYTES,
-        dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
-        requested_load_bytes=(m + int(rows_contrib.size)) * 4
-        + (m * B + lane_entries) * itemsize,
-        serial_updates=serial,
-        critical_warp_cycles=_BASE_CYCLES + look + _ACTIVE_CYCLES * B,
-        flops=lane_entries,
-    )
-    return Y, device.launch(stats, tag=tag)
+    return p.Y, device.launch(stats, tag=tag)

@@ -35,6 +35,12 @@ is pure overhead) -- exactly the levels the dispatcher keeps on push.
 The accumulation is the same storage-order float64 ``bincount`` as every
 other kernel (:mod:`repro.spmv._spmm`), so results are bit-identical to
 ``sccsc``; only the KernelStats differ.
+
+The batched form probes a B-lane bitmap (one packed word per entry covers
+every lane at once) and gathers the B-wide frontier row only for entries
+active in at least one lane: a column early-exits once *any* lane finds a
+frontier parent, and per-lane decisions resolve in phase 2's masked
+accumulation.  ``B = 1`` is the SpMV.
 """
 
 from __future__ import annotations
@@ -94,31 +100,25 @@ def first_hit_probes(
 
 def _pullcsc_stats(
     csc: CSCMatrix,
-    allowed: np.ndarray,
-    active_rows: np.ndarray,
-    x_dtype,
-    lanes: np.ndarray | None,
-    B: int,
+    p: M.Product,
     write_txn: int,
-    n_flops: int,
     name: str,
     l2_bytes: int,
-    *,
-    early_exit: bool,
 ) -> KernelStats:
-    """Hardware stats for a masked bottom-up (pull) pass.
+    """Hardware stats for a masked bottom-up (pull) gather pass.
 
-    ``lanes`` is the per-column allowed-lane count for SpMM (``None`` for
-    SpMV, i.e. one lane everywhere).  ``early_exit=False`` models the
-    unmasked full product (no discovery decision exists, so every allowed
-    column scans once with no phase-1 loop).
+    The unmasked full product has no discovery decision, so every column
+    scans once with no phase-1 loop.
     """
-    x_itemsize = np.dtype(x_dtype).itemsize
-    dtype_factor = W.dtype_cycle_factor(x_dtype)
+    B, lanes = p.B, p.lanes
+    x_itemsize = p.dtype.itemsize
+    dtype_factor = W.dtype_cycle_factor(p.dtype)
     n = csc.n_cols
     n_rows = csc.n_rows
     deg = csc.column_counts().astype(np.int64)
-    if early_exit:
+    allowed = lanes > 0
+    active_rows = M.any_lane(p.X > 0)
+    if p.masked:
         probe, discovered = first_hit_probes(csc, allowed, active_rows)
         rescan = np.where(discovered, deg, 0)
     else:
@@ -128,14 +128,9 @@ def _pullcsc_stats(
     total_scanned = int(scanned.sum())
 
     # Contributing entries (bitmap hits): the only scattered x gathers.
-    if csc.nnz:
-        col_of = csc.column_of_nnz()
-        hits = active_rows[csc.row] & allowed[col_of]
-        contrib_per_col = np.bincount(col_of[hits], minlength=n).astype(np.int64)
-    else:
-        contrib_per_col = np.zeros(n, dtype=np.int64)
-    total_contrib = int(contrib_per_col.sum())
-    lane_width = lanes if lanes is not None else 1
+    contrib_per_col = np.bincount(
+        csc.column_of_nnz()[p.kept], minlength=n).astype(np.int64)
+    total_contrib = int(p.kept.size)
 
     bitmap_words = -(-n_rows * B // 32)
     row_txn = int(np.sum((scanned + 7) // 8))
@@ -150,162 +145,26 @@ def _pullcsc_stats(
     build_txn = W.coalesced_transactions(n_rows * B, x_itemsize) + W.coalesced_transactions(
         bitmap_words
     )
-    mask_txn = W.coalesced_transactions(n * B) if lanes is not None else 0
 
-    work = scanned * _PROBE_CYCLES + contrib_per_col * lane_width * _GATHER_CYCLES * dtype_factor
+    gathers = contrib_per_col * lanes * dtype_factor
     warp_cycles = W.divergent_warp_cycles(
-        work, base_cycles=_BASE_CYCLES
+        scanned * _PROBE_CYCLES + gathers * _GATHER_CYCLES, base_cycles=_BASE_CYCLES
     ) + W.uniform_warp_cycles(n_rows * B, _BITMAP_BUILD_CYCLES)
     critical = W.max_warp_cycles(
-        scanned * _CRITICAL_PROBE_CYCLES
-        + contrib_per_col * lane_width * _CRITICAL_GATHER_CYCLES * dtype_factor
+        scanned * _CRITICAL_PROBE_CYCLES + gathers * _CRITICAL_GATHER_CYCLES
     )
     return KernelStats(
         name=name,
         threads=n,
         warp_cycles=warp_cycles,
-        dram_read_bytes=(ptr_txn + mask_txn + row_txn + probe_txn + x_txn + build_txn)
+        dram_read_bytes=(ptr_txn + row_txn + probe_txn + x_txn + build_txn)
         * W.TRANSACTION_BYTES,
         dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
         requested_load_bytes=(2 * n + n * B + 2 * total_scanned) * 4
         + (n_rows * B + total_contrib * B) * x_itemsize,
         critical_warp_cycles=critical,
-        flops=n_flops,
+        flops=total_contrib * B,
     )
-
-
-def pullcsc_spmv(
-    device: Device,
-    csc: CSCMatrix,
-    x: np.ndarray,
-    *,
-    allowed: np.ndarray | None = None,
-    out_dtype=None,
-    tag: str = "",
-) -> tuple[np.ndarray, KernelLaunch]:
-    """Masked gather product with the pull (bottom-up) kernel.
-
-    ``allowed`` is the fused mask (the forward stage passes ``sigma == 0``);
-    with a mask the two-phase early-exit discovery model applies.  ``None``
-    processes every column in a single pass (the backward stage's unmasked
-    product -- still a pull win: bitmap probes instead of scattered loads
-    for the zero-heavy dependency vector).
-    """
-    x = np.asarray(x)
-    if x.shape != (csc.n_rows,):
-        raise ValueError(f"x must have shape ({csc.n_rows},), got {x.shape}")
-    n = csc.n_cols
-    early_exit = allowed is not None
-    if allowed is None:
-        allowed = np.ones(n, dtype=bool)
-    else:
-        allowed = np.asarray(allowed)
-        if allowed.shape != (n,) or allowed.dtype != bool:
-            raise ValueError(f"allowed must be a boolean mask of shape ({n},)")
-
-    col_of_nnz = csc.column_of_nnz()
-    sel = allowed[col_of_nnz]
-    vals = x[csc.row[sel]]
-    sums = np.bincount(col_of_nnz[sel], weights=vals, minlength=n)
-    out_dtype = out_dtype or x.dtype
-    y = np.zeros(n, dtype=out_dtype)
-    written = sums > 0
-    with np.errstate(invalid="ignore"):  # int overflow surfaces via the sigma check
-        y[written] = sums[written].astype(out_dtype, copy=False)
-
-    active_rows = x > 0
-    stats = _pullcsc_stats(
-        csc, allowed, active_rows, x.dtype, None, 1,
-        int(np.count_nonzero(written)),
-        int(np.count_nonzero(active_rows[csc.row[sel]])),
-        "pullcsc_spmv", device.spec.l2_bytes, early_exit=early_exit,
-    )
-    return y, device.launch(stats, tag=tag)
-
-
-def pullcsc_spmv_scatter(
-    device: Device,
-    csc: CSCMatrix,
-    x: np.ndarray,
-    *,
-    out_dtype=None,
-    tag: str = "",
-) -> tuple[np.ndarray, KernelLaunch]:
-    """Scatter product ``y = A x`` pulled through the row-major plan.
-
-    The pull formulation of the backward digraph product: one thread *owns*
-    each output row, scans the row's stored entries via the cached
-    ``scatter_plan`` and gathers ``x`` where the active-column bitmap hits.
-    Because every output location has a single owner there is no atomic
-    chain at all -- the structural advantage over the push scatter kernels
-    on hub rows.  Results are bit-identical to :func:`sccsc_spmv_scatter`
-    (same storage-order accumulation).
-    """
-    x = np.asarray(x)
-    if x.shape != (csc.n_cols,):
-        raise ValueError(f"x must have shape ({csc.n_cols},), got {x.shape}")
-    active = x > 0
-    col_of_nnz = csc.column_of_nnz()
-    sel = active[col_of_nnz]
-    rows_sel = csc.row[sel]
-    out_dtype = out_dtype or x.dtype
-    y = np.zeros(csc.n_rows, dtype=out_dtype)
-    if rows_sel.size:
-        acc = np.bincount(rows_sel, weights=x[col_of_nnz[sel]], minlength=csc.n_rows)
-        with np.errstate(invalid="ignore"):
-            y[: acc.size] = acc.astype(out_dtype, copy=False)
-
-    row_ptr, _cols = csc.scatter_plan()
-    row_deg = np.diff(row_ptr).astype(np.int64)
-    contrib_per_row = (
-        np.bincount(rows_sel, minlength=csc.n_rows).astype(np.int64)
-        if rows_sel.size
-        else np.zeros(csc.n_rows, dtype=np.int64)
-    )
-    dtype_factor = W.dtype_cycle_factor(x.dtype)
-    item = x.dtype.itemsize
-    l2 = device.spec.l2_bytes
-    bitmap_words = -(-csc.n_cols // 32)
-    total = int(row_deg.sum())
-    stats = KernelStats(
-        name="pullcsc_spmv_scatter",
-        threads=csc.n_rows,
-        warp_cycles=W.divergent_warp_cycles(
-            row_deg * _PROBE_CYCLES + contrib_per_row * _GATHER_CYCLES * dtype_factor,
-            base_cycles=_BASE_CYCLES,
-        )
-        + W.uniform_warp_cycles(csc.n_cols, _BITMAP_BUILD_CYCLES),
-        dram_read_bytes=(
-            2 * W.coalesced_transactions(csc.n_rows)
-            + int(np.sum((row_deg + 7) // 8))
-            + W.capped_random_transactions(total, bitmap_words, 4, l2_bytes=l2)
-            + W.scalar_gather_transactions(int(rows_sel.size), csc.n_cols, item,
-                                           l2_bytes=l2)
-            + W.coalesced_transactions(csc.n_cols, item)
-            + W.coalesced_transactions(bitmap_words)
-        )
-        * W.TRANSACTION_BYTES,
-        dram_write_bytes=W.coalesced_transactions(
-            int(np.count_nonzero(contrib_per_row)), item
-        )
-        * W.TRANSACTION_BYTES,
-        requested_load_bytes=(2 * csc.n_rows + 2 * total) * 4
-        + (csc.n_cols + int(rows_sel.size)) * item,
-        critical_warp_cycles=W.max_warp_cycles(
-            row_deg * _CRITICAL_PROBE_CYCLES
-            + contrib_per_row * _CRITICAL_GATHER_CYCLES * dtype_factor
-        ),
-        flops=int(rows_sel.size),
-    )
-    return y, device.launch(stats, tag=tag)
-
-
-# -- batched (SpMM) variants --------------------------------------------------
-#
-# The batched pull kernel probes a B-lane bitmap (one packed word per entry
-# covers every lane at once) and gathers the B-wide frontier row only for
-# entries active in at least one lane -- the same coalescing win as the
-# push SpMM, on top of pull's gather savings.
 
 
 def pullcsc_spmm(
@@ -317,45 +176,18 @@ def pullcsc_spmm(
     out_dtype=None,
     tag: str = "",
 ) -> tuple[np.ndarray, KernelLaunch]:
-    """Masked batched gather product ``Y = A^T X`` with the pull kernel.
+    """Masked gather product ``Y = A^T X`` with the pull (bottom-up) kernel.
 
-    Phase-1 discovery probes the lane-union bitmap: a column early-exits
-    once *any* lane finds a frontier parent (per-lane decisions resolve in
-    phase 2's masked accumulation).  Lane results are bit-identical to B
-    separate :func:`pullcsc_spmv` calls.
+    ``allowed`` is the fused mask (the forward stage passes ``sigma == 0``);
+    with a mask the two-phase early-exit discovery model applies.  ``None``
+    processes every column in a single pass (the backward stage's unmasked
+    product -- still a pull win: bitmap probes instead of scattered loads
+    for the zero-heavy dependency matrix).
     """
-    X = M.as_frontier_matrix(X, csc.n_rows)
-    n = csc.n_cols
-    B = X.shape[1]
-    early_exit = allowed is not None
-    if allowed is None:
-        allowed = np.ones((n, B), dtype=bool)
-    else:
-        allowed = M.check_allowed_matrix(allowed, n, B)
-    col_select = allowed.any(axis=1)
-    sums = M.gather_spmm_values(
-        csc.row, csc.col_ptr, X, None if col_select.all() else col_select
-    )
-    if not allowed.all():
-        sums[~allowed] = 0.0
-    out_dtype = out_dtype or X.dtype
-    Y = M.cast_like_spmv(sums, out_dtype, positive_only=True)
-
-    written_cols = int(np.count_nonzero((sums > 0).any(axis=1)))
-    write_txn = written_cols * (-(-B * np.dtype(out_dtype).itemsize // W.TRANSACTION_BYTES))
-    lanes = allowed.sum(axis=1, dtype=np.int64)
-    active_rows = (X > 0).any(axis=1)
-    if csc.nnz:
-        sel = col_select[csc.column_of_nnz()]
-        union_hits = int(np.count_nonzero(active_rows[csc.row[sel]]))
-    else:
-        union_hits = 0
-    stats = _pullcsc_stats(
-        csc, col_select, active_rows, X.dtype, lanes, B, write_txn,
-        union_hits * B, "pullcsc_spmm", device.spec.l2_bytes,
-        early_exit=early_exit,
-    )
-    return Y, device.launch(stats, tag=tag)
+    p = M.gather_product(csc, X, allowed, out_dtype)
+    write_txn = p.written * W.coalesced_transactions(p.B, p.out_dtype.itemsize)
+    stats = _pullcsc_stats(csc, p, write_txn, "pullcsc_spmm", device.spec.l2_bytes)
+    return p.Y, device.launch(stats, tag=tag)
 
 
 def pullcsc_spmm_scatter(
@@ -366,45 +198,31 @@ def pullcsc_spmm_scatter(
     out_dtype=None,
     tag: str = "",
 ) -> tuple[np.ndarray, KernelLaunch]:
-    """Batched scatter product ``Y = A X`` pulled through the row plan.
+    """Scatter product ``Y = A X`` pulled through the rows.
 
-    Thread-per-output-row over the cached ``scatter_plan`` with B-wide
-    masked accumulation: no atomics (each row has one owner), bit-identical
-    to B separate :func:`pullcsc_spmv_scatter` calls.
+    The pull formulation of the backward digraph product: one thread *owns*
+    each output row, scans the row's stored entries and gathers the B-wide
+    frontier row where the active-column bitmap hits.  Because every output
+    location has a single owner there is no atomic chain at all -- the
+    structural advantage over the push scatter kernels on hub rows.
     """
-    X = M.as_frontier_matrix(X, csc.n_cols)
+    p = M.scatter_product(csc, X, out_dtype)
     n = csc.n_cols
-    B = X.shape[1]
-    Xp = np.where(X > 0, X, X.dtype.type(0))
-    row_ptr, cols_in_row_order = csc.scatter_plan()
-    sums = M.scatter_spmm_values(row_ptr, cols_in_row_order, Xp)
-    out_dtype = out_dtype or X.dtype
-    Y = M.cast_like_spmv(sums, out_dtype, positive_only=False)
-
-    active_cols = (Xp > 0).any(axis=1)
-    row_deg = np.diff(row_ptr).astype(np.int64)
-    hits = active_cols[cols_in_row_order]
-    if csc.nnz:
-        # Exact per-row hit counts (an int bincount, not kernel numerics).
-        row_of_plan = np.repeat(np.arange(csc.n_rows, dtype=np.int64), row_deg)
-        contrib_per_row = np.bincount(
-            row_of_plan[hits], minlength=csc.n_rows
-        ).astype(np.int64)
-    else:
-        contrib_per_row = np.zeros(csc.n_rows, dtype=np.int64)
-    total = int(row_deg.sum())
-    total_contrib = int(contrib_per_row.sum())
-    dtype_factor = W.dtype_cycle_factor(X.dtype)
-    item = X.dtype.itemsize
+    B = p.B
+    row_deg = csc.row_counts()
+    contrib_per_row = np.bincount(csc.row[p.kept], minlength=csc.n_rows).astype(np.int64)
+    n_contrib = int(p.kept.size)
+    dtype_factor = W.dtype_cycle_factor(p.dtype)
+    item = p.dtype.itemsize
     l2 = device.spec.l2_bytes
     bitmap_words = -(-n * B // 32)
-    write_rows = int(np.count_nonzero(contrib_per_row))
+    total = int(row_deg.sum())
+    gathers = contrib_per_row * B * dtype_factor
     stats = KernelStats(
         name="pullcsc_spmm_scatter",
         threads=csc.n_rows,
         warp_cycles=W.divergent_warp_cycles(
-            row_deg * _PROBE_CYCLES
-            + contrib_per_row * B * _GATHER_CYCLES * dtype_factor,
+            row_deg * _PROBE_CYCLES + gathers * _GATHER_CYCLES,
             base_cycles=_BASE_CYCLES,
         )
         + W.uniform_warp_cycles(n * B, _BITMAP_BUILD_CYCLES),
@@ -412,20 +230,21 @@ def pullcsc_spmm_scatter(
             2 * W.coalesced_transactions(csc.n_rows)
             + int(np.sum((row_deg + 7) // 8))
             + W.capped_random_transactions(total, bitmap_words, 4, l2_bytes=l2)
-            + W.bwide_gather_transactions(total_contrib, B, n, item, l2_bytes=l2)
+            + W.scalar_gather_transactions(n_contrib, n, item, lanes=B, l2_bytes=l2)
             + W.coalesced_transactions(n * B, item)
             + W.coalesced_transactions(bitmap_words)
         )
         * W.TRANSACTION_BYTES,
-        dram_write_bytes=write_rows
-        * (-(-B * np.dtype(out_dtype).itemsize // W.TRANSACTION_BYTES))
+        # each row's owner stores its B-wide row: coalesced across the warp
+        dram_write_bytes=W.coalesced_transactions(
+            int(np.count_nonzero(contrib_per_row)) * B, item
+        )
         * W.TRANSACTION_BYTES,
         requested_load_bytes=(2 * csc.n_rows + 2 * total) * 4
-        + (n * B + total_contrib * B) * item,
+        + (n * B + n_contrib * B) * item,
         critical_warp_cycles=W.max_warp_cycles(
-            row_deg * _CRITICAL_PROBE_CYCLES
-            + contrib_per_row * B * _CRITICAL_GATHER_CYCLES * dtype_factor
+            row_deg * _CRITICAL_PROBE_CYCLES + gathers * _CRITICAL_GATHER_CYCLES
         ),
-        flops=total_contrib * B,
+        flops=n_contrib * B,
     )
-    return Y, device.launch(stats, tag=tag)
+    return p.Y, device.launch(stats, tag=tag)

@@ -15,6 +15,11 @@ coalesced-but-sparse read of ``col`` plus an atomic scatter into ``y``
 write *runs of identical columns*, so intra-warp atomic conflicts -- counted
 exactly by :func:`repro.gpusim.warp.atomic_conflict_cycles` -- are the
 kernel's main issue cost on low-degree graphs.
+
+The batched form keeps the thread-per-edge shape over an ``n x B``
+frontier matrix: each thread loads its source index once (amortised
+B-fold), fetches the B-wide frontier row and issues one atomic per positive
+lane into the destination's B-wide output row.  ``B = 1`` is the SpMV.
 """
 
 from __future__ import annotations
@@ -33,191 +38,54 @@ _BASE_CYCLES = 6
 _ACTIVE_CYCLES = 4
 
 
-def _sccooc_common(
-    device: Device,
+def _sccooc_stats(
+    cooc: COOCMatrix,
+    p: M.Product,
     src_idx: np.ndarray,
     dst_idx: np.ndarray,
-    x: np.ndarray,
+    which: str,
     n_out: int,
     name: str,
-    tag: str,
-    out_dtype,
-    x_gather_txn: int,
-) -> tuple[np.ndarray, KernelLaunch]:
-    l2_bytes = device.spec.l2_bytes
-    """Shared implementation of gather/scatter scCOOC (they differ only in
-    which COOC array is the load index and which is the store index)."""
-    m = src_idx.size
-    vals = x[src_idx]
-    active = vals > 0
-    n_active = int(np.count_nonzero(active))
-    dst_active = dst_idx[active]
-
-    y = np.zeros(n_out, dtype=out_dtype)
-    if n_active:
-        acc = np.bincount(dst_active, weights=vals[active], minlength=n_out)
-        with np.errstate(invalid="ignore"):  # int overflow surfaces via the sigma check
-            y[: acc.size] = acc.astype(out_dtype, copy=False)
-
-    itemsize = x.dtype.itemsize
-    dtype_factor = W.dtype_cycle_factor(x.dtype)
+    l2_bytes: int,
+) -> KernelStats:
+    """Hardware stats of a gather or scatter scCOOC pass (they differ only
+    in which COOC array is the load index and which is the store index)."""
+    m = cooc.nnz
+    B = p.B
+    item = p.dtype.itemsize
+    df = W.dtype_cycle_factor(p.dtype)
+    n_active = int(p.kept.size)
+    dst_active = dst_idx[p.kept]
+    lane_total = int(p.lanes[src_idx[p.kept]].sum())
     read_txn = (
-        W.coalesced_transactions(m)                          # src index sweep
-        + x_gather_txn                                       # x gather (cached per matrix)
-        + W.gather_transactions(np.flatnonzero(active))      # sparse dst-index read
+        W.coalesced_transactions(m)                                  # src index sweep
+        + cooc.full_gather_transactions(which, item, lanes=B,        # X rows (cached
+                                        l2_bytes=l2_bytes)           # per matrix)
+        + W.gather_transactions(p.kept)                              # sparse dst-index read
     )
-    # Atomic read-modify-write on y: one transaction in, one out per distinct
-    # warp segment of the destination addresses, L2-merged across the kernel.
+    # Atomic read-modify-write on Y: one transaction in, one out per distinct
+    # warp segment of the destination rows, L2-merged across the kernel.
     write_txn = (
-        W.cached_gather_transactions(dst_active, itemsize, n_out, l2_bytes=l2_bytes)
+        W.cached_gather_transactions(dst_active, item, n_out, lanes=B,
+                                     l2_bytes=l2_bytes)
         if n_active
         else 0
     )
-    serial = (
-        int(np.bincount(dst_active, minlength=1).max()) * dtype_factor
-        if n_active
-        else 0
-    )
-    stats = KernelStats(
+    return KernelStats(
         name=name,
         threads=m,
         warp_cycles=(
             W.uniform_warp_cycles(m, _BASE_CYCLES)
-            + W.warp_count(n_active) * _ACTIVE_CYCLES * dtype_factor
-            + W.atomic_conflict_cycles(dst_active) * dtype_factor
+            + W.warp_count(lane_total) * _ACTIVE_CYCLES * df
+            + W.atomic_conflict_cycles(dst_active) * df
         ),
         dram_read_bytes=(read_txn + write_txn) * W.TRANSACTION_BYTES,
         dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
-        requested_load_bytes=(2 * m + 2 * n_active) * itemsize,
-        serial_updates=serial,
-        critical_warp_cycles=_BASE_CYCLES + _ACTIVE_CYCLES,  # flat per-edge work
-        flops=n_active,
-    )
-    return y, device.launch(stats, tag=tag)
-
-
-def sccooc_spmv(
-    device: Device,
-    cooc: COOCMatrix,
-    x: np.ndarray,
-    *,
-    out_dtype=None,
-    tag: str = "",
-) -> tuple[np.ndarray, KernelLaunch]:
-    """Gather product ``y = A^T x`` with the scCOOC kernel.
-
-    Exploits the sparsity of ``x``: only entries whose source value is
-    positive contribute (Algorithm 2, line 5).
-    """
-    x = np.asarray(x)
-    if x.shape != (cooc.n_rows,):
-        raise ValueError(f"x must have shape ({cooc.n_rows},), got {x.shape}")
-    return _sccooc_common(
-        device, cooc.row, cooc.col, x, cooc.n_cols, "sccooc_spmv", tag,
-        out_dtype or x.dtype,
-        cooc.full_gather_transactions("row", x.dtype.itemsize,
-                                      l2_bytes=device.spec.l2_bytes),
-    )
-
-
-def sccooc_spmv_scatter(
-    device: Device,
-    cooc: COOCMatrix,
-    x: np.ndarray,
-    *,
-    out_dtype=None,
-    tag: str = "",
-) -> tuple[np.ndarray, KernelLaunch]:
-    """Scatter product ``y = A x`` with the scCOOC kernel (swapped roles of
-    the two COOC index arrays); used by the backward stage on digraphs."""
-    x = np.asarray(x)
-    if x.shape != (cooc.n_cols,):
-        raise ValueError(f"x must have shape ({cooc.n_cols},), got {x.shape}")
-    return _sccooc_common(
-        device, cooc.col, cooc.row, x, cooc.n_rows, "sccooc_spmv_scatter", tag,
-        out_dtype or x.dtype,
-        cooc.full_gather_transactions("col", x.dtype.itemsize,
-                                      l2_bytes=device.spec.l2_bytes),
-    )
-
-
-# -- batched (SpMM) variants --------------------------------------------------
-#
-# The SpMM kernel keeps the thread-per-edge shape: each thread loads its
-# source index once (amortised B-fold versus B SpMV launches), fetches the
-# B-wide frontier row with coalesced B-word transactions, and issues one
-# atomic per positive lane into the destination's B-wide output row.
-
-
-def _sccooc_spmm_common(
-    device: Device,
-    src_idx: np.ndarray,
-    dst_idx: np.ndarray,
-    plan_idx: np.ndarray,
-    seg_ptr: np.ndarray,
-    X: np.ndarray,
-    n_out: int,
-    name: str,
-    tag: str,
-    out_dtype,
-) -> tuple[np.ndarray, KernelLaunch]:
-    """Shared batched gather/scatter scCOOC.
-
-    ``src_idx``/``dst_idx`` are the storage-order load/store index arrays
-    (for the cost model); ``plan_idx``/``seg_ptr`` describe the same product
-    as a segment reduction grouped by destination (``column_ptr`` for the
-    gather, the cached ``scatter_plan`` for the scatter) -- per destination
-    the segment preserves storage order, so lane results are bit-identical
-    to B per-source SpMV calls.
-    """
-    l2_bytes = device.spec.l2_bytes
-    m = src_idx.size
-    B = X.shape[1]
-    Xp = np.where(X > 0, X, X.dtype.type(0))
-    sums = M.filtered_segment_sums(plan_idx, seg_ptr, Xp)
-    y = M.cast_like_spmv(sums, out_dtype, positive_only=False)
-
-    lanes_per_src = np.count_nonzero(Xp, axis=1)
-    src_lanes = lanes_per_src[src_idx]
-    entry_active = src_lanes > 0
-    n_active = int(np.count_nonzero(entry_active))
-    lane_total = int(src_lanes.sum())
-    dst_active = dst_idx[entry_active]
-
-    itemsize = X.dtype.itemsize
-    dtype_factor = W.dtype_cycle_factor(X.dtype)
-    read_txn = (
-        W.coalesced_transactions(m)                                    # src sweep
-        + W.bwide_gather_transactions(m, B, Xp.shape[0], itemsize,     # X rows
-                                      l2_bytes=l2_bytes)
-        + W.capped_random_transactions(n_active, m, 4, l2_bytes=l2_bytes)
-    )
-    write_txn = (
-        W.bwide_gather_transactions(n_active, B, n_out, itemsize, l2_bytes=l2_bytes)
-        if n_active
-        else 0
-    )
-    serial = (
-        int(np.bincount(dst_active, minlength=1).max()) * dtype_factor
-        if n_active
-        else 0
-    )
-    stats = KernelStats(
-        name=name,
-        threads=m,
-        warp_cycles=(
-            W.uniform_warp_cycles(m, _BASE_CYCLES)
-            + W.warp_count(lane_total) * _ACTIVE_CYCLES * dtype_factor
-            + W.atomic_conflict_cycles(dst_active) * dtype_factor
-        ),
-        dram_read_bytes=(read_txn + write_txn) * W.TRANSACTION_BYTES,
-        dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
-        requested_load_bytes=(m + n_active) * 4 + (m * B + lane_total) * itemsize,
-        serial_updates=serial,
-        critical_warp_cycles=_BASE_CYCLES + _ACTIVE_CYCLES * B,
+        requested_load_bytes=(2 * m + n_active + lane_total) * item,
+        serial_updates=int(np.bincount(dst_active).max()) * df if n_active else 0,
+        critical_warp_cycles=_BASE_CYCLES + _ACTIVE_CYCLES * B,  # flat per-edge work
         flops=lane_total,
     )
-    return y, device.launch(stats, tag=tag)
 
 
 def sccooc_spmm(
@@ -228,17 +96,17 @@ def sccooc_spmm(
     out_dtype=None,
     tag: str = "",
 ) -> tuple[np.ndarray, KernelLaunch]:
-    """Batched gather product ``Y = A^T X`` with the scCOOC kernel.
+    """Gather product ``Y = A^T X`` with the scCOOC kernel.
 
-    ``X`` is the ``(n, B)`` frontier matrix; like the SpMV there is no fused
-    mask (the batched update kernel applies it) and only positive lane
-    values contribute (Algorithm 2, line 5, per lane).
+    ``X`` is the ``(n, B)`` frontier matrix.  There is no fused mask (the
+    update kernel applies it); only positive lane values contribute
+    (Algorithm 2, line 5, per lane).
     """
     X = M.as_frontier_matrix(X, cooc.n_rows)
-    return _sccooc_spmm_common(
-        device, cooc.row, cooc.col, cooc.row, cooc.column_ptr(), X,
-        cooc.n_cols, "sccooc_spmm", tag, out_dtype or X.dtype,
-    )
+    p = M.push_product(X, cooc.row, cooc.col, cooc.n_cols, out_dtype)
+    stats = _sccooc_stats(cooc, p, cooc.row, cooc.col, "row", cooc.n_cols,
+                          "sccooc_spmm", device.spec.l2_bytes)
+    return p.Y, device.launch(stats, tag=tag)
 
 
 def sccooc_spmm_scatter(
@@ -249,11 +117,9 @@ def sccooc_spmm_scatter(
     out_dtype=None,
     tag: str = "",
 ) -> tuple[np.ndarray, KernelLaunch]:
-    """Batched scatter product ``Y = A X`` with the scCOOC kernel (swapped
-    index-array roles); used by the batched backward stage on digraphs."""
-    X = M.as_frontier_matrix(X, cooc.n_cols)
-    row_ptr, cols_in_row_order = cooc.scatter_plan()
-    return _sccooc_spmm_common(
-        device, cooc.col, cooc.row, cols_in_row_order, row_ptr, X,
-        cooc.n_rows, "sccooc_spmm_scatter", tag, out_dtype or X.dtype,
-    )
+    """Scatter product ``Y = A X`` with the scCOOC kernel (swapped roles of
+    the two COOC index arrays); used by the backward stage on digraphs."""
+    p = M.scatter_product(cooc, X, out_dtype)
+    stats = _sccooc_stats(cooc, p, cooc.col, cooc.row, "col", cooc.n_rows,
+                          "sccooc_spmm_scatter", device.spec.l2_bytes)
+    return p.Y, device.launch(stats, tag=tag)

@@ -17,6 +17,12 @@ retires at the speed of its largest column -- which is why it only wins on
 *regular* graphs (near-uniform degrees).  Loads of ``row_A`` are sequential
 per lane (L1-assisted, ~8 words per 32 B line) but the ``x`` gather is fully
 uncoalesced: one transaction per stored entry scanned.
+
+The batched form multiplies an ``n x B`` frontier matrix: each thread scans
+its column once for all B lanes, loading one row index per entry (amortised
+B-fold) and one B-word frontier row (coalesced into ``ceil(B * itemsize /
+32)`` transactions), and accumulating B partial sums.  ``B = 1`` is the
+paper's SpMV, and every cost term below reduces to it exactly.
 """
 
 from __future__ import annotations
@@ -31,209 +37,46 @@ from repro.spmv import _spmm as M
 
 #: Issue cycles per thread for index math + the mask compare.
 _BASE_CYCLES = 4
-#: Issue cycles per scanned entry (load row index, load x, accumulate).
+#: Issue cycles per scanned entry (load row index, load x, accumulate);
+#: every further lane adds one accumulate.
 _CYCLES_PER_ENTRY = 3
+#: Extra issue cycles per scanned entry of the scatter's atomic store.
+_ATOMIC_CYCLES = 2
 #: Critical-path cycles per entry for the *longest* lane: a serial chain of
 #: dependent gathers exposes memory latency (~8 cycles survive pipelining)
 #: on top of the issue cost.
 _CRITICAL_CYCLES_PER_ENTRY = 12
 
 
-def _sccsc_stats(
-    csc: CSCMatrix,
-    allowed: np.ndarray,
-    x_dtype,
-    n_written: int,
-    name: str,
-    l2_bytes: int,
-) -> KernelStats:
-    """Hardware stats for a masked thread-per-column pass."""
-    x_itemsize = np.dtype(x_dtype).itemsize
-    dtype_factor = W.dtype_cycle_factor(x_dtype)
+def _sccsc_stats(csc: CSCMatrix, p: M.Product, l2_bytes: int) -> KernelStats:
+    """Hardware stats for a masked thread-per-column gather pass."""
+    B, lanes = p.B, p.lanes
+    item = p.dtype.itemsize
+    df = W.dtype_cycle_factor(p.dtype)
     n = csc.n_cols
-    degrees = csc.column_counts().astype(np.int64)
-    scanned = np.where(allowed, degrees, 0)
-    total_scanned = int(scanned.sum())
-    # Per-lane sequential scans: ~ceil(deg / 8) L1-line fills for row_A, one
-    # 32 B transaction per x entry (uncoalesced gather).
-    row_txn = int(np.sum((scanned + 7) // 8))
-    x_txn = W.scalar_gather_transactions(total_scanned, csc.n_rows, x_itemsize,
-                                         l2_bytes=l2_bytes)
-    ptr_txn = 2 * W.coalesced_transactions(n)
-    write_txn = n_written  # scattered single-word stores
-    return KernelStats(
-        name=name,
-        threads=n,
-        warp_cycles=W.divergent_warp_cycles(
-            scanned * _CYCLES_PER_ENTRY * dtype_factor, base_cycles=_BASE_CYCLES
-        ),
-        dram_read_bytes=(ptr_txn + row_txn + x_txn) * W.TRANSACTION_BYTES,
-        dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
-        requested_load_bytes=(2 * n + total_scanned) * 4 + total_scanned * x_itemsize,
-        critical_warp_cycles=W.max_warp_cycles(
-            scanned, cycles_per_unit=_CRITICAL_CYCLES_PER_ENTRY * dtype_factor
-        ),
-        flops=total_scanned,
-    )
-
-
-def sccsc_spmv(
-    device: Device,
-    csc: CSCMatrix,
-    x: np.ndarray,
-    *,
-    allowed: np.ndarray | None = None,
-    out_dtype=None,
-    tag: str = "",
-) -> tuple[np.ndarray, KernelLaunch]:
-    """Masked gather product with the scCSC kernel.
-
-    ``allowed`` is the fused mask (the forward stage passes
-    ``sigma == 0``); ``None`` processes every column (the unmasked SpMV of
-    the backward stage on undirected graphs).
-    """
-    x = np.asarray(x)
-    if x.shape != (csc.n_rows,):
-        raise ValueError(f"x must have shape ({csc.n_rows},), got {x.shape}")
-    n = csc.n_cols
-    if allowed is None:
-        allowed = np.ones(n, dtype=bool)
-    else:
-        allowed = np.asarray(allowed)
-        if allowed.shape != (n,) or allowed.dtype != bool:
-            raise ValueError(f"allowed must be a boolean mask of shape ({n},)")
-
-    col_of_nnz = csc.column_of_nnz()
-    sel = allowed[col_of_nnz]
-    vals = x[csc.row[sel]]
-    sums = np.bincount(col_of_nnz[sel], weights=vals, minlength=n)
-    out_dtype = out_dtype or x.dtype
-    y = np.zeros(n, dtype=out_dtype)
-    written = sums > 0
-    with np.errstate(invalid="ignore"):  # int overflow surfaces via the sigma check
-        y[written] = sums[written].astype(out_dtype, copy=False)
-
-    stats = _sccsc_stats(csc, allowed, x.dtype,
-                         int(np.count_nonzero(written)), "sccsc_spmv",
-                         device.spec.l2_bytes)
-    return y, device.launch(stats, tag=tag)
-
-
-def sccsc_spmv_scatter(
-    device: Device,
-    csc: CSCMatrix,
-    x: np.ndarray,
-    *,
-    out_dtype=None,
-    tag: str = "",
-) -> tuple[np.ndarray, KernelLaunch]:
-    """Scatter product ``y = A x`` with a thread-per-column CSC kernel.
-
-    Each thread whose column value is positive atomically adds it to the
-    ``y`` entries of its column's rows; used by the backward stage on
-    digraphs.  The sparsity of ``x`` is exploited: masked columns cost one
-    compare.
-    """
-    x = np.asarray(x)
-    if x.shape != (csc.n_cols,):
-        raise ValueError(f"x must have shape ({csc.n_cols},), got {x.shape}")
-    n = csc.n_cols
-    active = x > 0
-    col_of_nnz = csc.column_of_nnz()
-    sel = active[col_of_nnz]
-    rows_sel = csc.row[sel]
-    out_dtype = out_dtype or x.dtype
-    y = np.zeros(csc.n_rows, dtype=out_dtype)
-    if rows_sel.size:
-        acc = np.bincount(rows_sel, weights=x[col_of_nnz[sel]], minlength=csc.n_rows)
-        with np.errstate(invalid="ignore"):
-            y[: acc.size] = acc.astype(out_dtype, copy=False)
-
-    degrees = csc.column_counts().astype(np.int64)
-    scanned = np.where(active, degrees, 0)
+    scanned = np.where(lanes > 0, csc.column_counts(), 0).astype(np.int64)
     total = int(scanned.sum())
-    row_txn = int(np.sum((scanned + 7) // 8))
-    # Per-lane serial atomic stores, thrashing-bounded like the gathers.
-    write_txn = W.scalar_gather_transactions(int(rows_sel.size), csc.n_rows, 4,
-                                             l2_bytes=device.spec.l2_bytes)
-    serial = int(np.bincount(rows_sel, minlength=1).max()) if rows_sel.size else 0
-    stats = KernelStats(
-        name="sccsc_spmv_scatter",
+    lane_entries = int((scanned * lanes).sum())
+    extra = lanes - 1  # further lanes per scanned entry (scanned is 0 where lanes is)
+    return KernelStats(
+        name="sccsc_spmm",
         threads=n,
         warp_cycles=W.divergent_warp_cycles(
-            scanned * (_CYCLES_PER_ENTRY + 2), base_cycles=_BASE_CYCLES
+            scanned * (_CYCLES_PER_ENTRY + extra) * df, base_cycles=_BASE_CYCLES
         ),
         dram_read_bytes=(
             2 * W.coalesced_transactions(n)
-            + row_txn
-            + W.capped_random_transactions(total, csc.n_cols, x.dtype.itemsize,
-                                           l2_bytes=device.spec.l2_bytes)
-        )
+            # per-lane sequential scans: ~ceil(deg / 8) L1-line fills for
+            # row_A, one uncoalesced B-wide x row per scanned entry
+            + int(np.sum((scanned + 7) // 8))
+            + W.scalar_gather_transactions(total, csc.n_rows, item, lanes=B,
+                                           l2_bytes=l2_bytes)
+        ) * W.TRANSACTION_BYTES,
+        dram_write_bytes=p.written * W.coalesced_transactions(B, p.out_dtype.itemsize)
         * W.TRANSACTION_BYTES,
-        dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
-        requested_load_bytes=(2 * n + total) * 4 + int(np.count_nonzero(active)) * x.dtype.itemsize,
-        serial_updates=serial,
+        requested_load_bytes=(2 * n + total) * 4 + lane_entries * item,
         critical_warp_cycles=W.max_warp_cycles(
-            scanned, cycles_per_unit=_CRITICAL_CYCLES_PER_ENTRY
-        ),
-        flops=total,
-    )
-    return y, device.launch(stats, tag=tag)
-
-
-# -- batched (SpMM) variants --------------------------------------------------
-#
-# The SpMM kernel is the same thread-per-column loop, but each thread scans
-# its column once for a whole batch of B frontiers: per entry it loads one
-# row index (amortised B-fold versus B SpMV launches) and one B-word row of
-# the row-major frontier matrix (coalesced into ceil(B*itemsize/32)
-# transactions, versus B scattered words), accumulating B partial sums.
-
-
-def _sccsc_spmm_stats(
-    csc: CSCMatrix,
-    lanes: np.ndarray,
-    B: int,
-    x_dtype,
-    write_txn: int,
-    name: str,
-    l2_bytes: int,
-    *,
-    serial_updates: int = 0,
-    atomic: bool = False,
-) -> KernelStats:
-    """Hardware stats for a thread-per-column SpMM pass.
-
-    ``lanes[c]`` is the number of batch lanes column ``c`` is processed for;
-    columns with ``lanes == 0`` cost one B-wide mask compare only.  The
-    ``atomic`` flavour (scatter) pays an extra store per lane-entry.
-    """
-    x_itemsize = np.dtype(x_dtype).itemsize
-    dtype_factor = W.dtype_cycle_factor(x_dtype)
-    n = csc.n_cols
-    degrees = csc.column_counts()
-    scanned = np.where(lanes > 0, degrees, 0).astype(np.int64)
-    total_scanned = int(scanned.sum())
-    lane_entries = int((scanned * lanes).sum())
-    per_entry = 2 + (1 if atomic else 0)
-    row_txn = int(np.sum((scanned + 7) // 8))
-    x_txn = W.bwide_gather_transactions(
-        total_scanned, B, csc.n_rows, x_itemsize, l2_bytes=l2_bytes
-    )
-    ptr_txn = 2 * W.coalesced_transactions(n)
-    mask_txn = W.coalesced_transactions(n * B)
-    work = scanned * per_entry + scanned * lanes * dtype_factor
-    return KernelStats(
-        name=name,
-        threads=n,
-        warp_cycles=W.divergent_warp_cycles(work, base_cycles=_BASE_CYCLES),
-        dram_read_bytes=(ptr_txn + mask_txn + row_txn + x_txn) * W.TRANSACTION_BYTES,
-        dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
-        requested_load_bytes=(2 * n + n * B + total_scanned) * 4
-        + lane_entries * x_itemsize,
-        serial_updates=serial_updates,
-        critical_warp_cycles=W.max_warp_cycles(
-            scanned * (_CRITICAL_CYCLES_PER_ENTRY + lanes * dtype_factor)
+            scanned * (_CRITICAL_CYCLES_PER_ENTRY + extra) * df
         ),
         flops=lane_entries,
     )
@@ -248,36 +91,15 @@ def sccsc_spmm(
     out_dtype=None,
     tag: str = "",
 ) -> tuple[np.ndarray, KernelLaunch]:
-    """Masked batched gather product ``Y = A^T X`` with the scCSC kernel.
+    """Masked gather product ``Y = A^T X`` with the scCSC kernel.
 
-    ``X`` is an ``(n, B)`` frontier matrix; ``allowed`` an ``(n, B)``
-    per-(column, lane) mask (the batched forward stage passes
-    ``sigma == 0 & lane-active``).  Column ``c``'s entries are scanned once
-    if *any* lane allows it; lane results are bit-identical to B separate
-    :func:`sccsc_spmv` calls.
+    ``X`` is an ``(n, B)`` frontier matrix; ``allowed`` the ``(n, B)``
+    per-(column, lane) fused mask (the forward stage passes ``sigma == 0``
+    ANDed with the lane-active bitmap); ``None`` processes every column
+    (the unmasked product of the backward stage on undirected graphs).
     """
-    X = M.as_frontier_matrix(X, csc.n_rows)
-    n = csc.n_cols
-    B = X.shape[1]
-    if allowed is None:
-        allowed = np.ones((n, B), dtype=bool)
-    else:
-        allowed = M.check_allowed_matrix(allowed, n, B)
-    col_select = allowed.any(axis=1)
-    sums = M.gather_spmm_values(
-        csc.row, csc.col_ptr, X, None if col_select.all() else col_select
-    )
-    if not allowed.all():
-        sums[~allowed] = 0.0
-    out_dtype = out_dtype or X.dtype
-    Y = M.cast_like_spmv(sums, out_dtype, positive_only=True)
-
-    written_cols = int(np.count_nonzero((sums > 0).any(axis=1)))
-    write_txn = written_cols * (-(-B * np.dtype(out_dtype).itemsize // W.TRANSACTION_BYTES))
-    lanes = allowed.sum(axis=1, dtype=np.int64)
-    stats = _sccsc_spmm_stats(csc, lanes, B, X.dtype, write_txn, "sccsc_spmm",
-                              device.spec.l2_bytes)
-    return Y, device.launch(stats, tag=tag)
+    p = M.gather_product(csc, X, allowed, out_dtype)
+    return p.Y, device.launch(_sccsc_stats(csc, p, device.spec.l2_bytes), tag=tag)
 
 
 def sccsc_spmm_scatter(
@@ -288,33 +110,45 @@ def sccsc_spmm_scatter(
     out_dtype=None,
     tag: str = "",
 ) -> tuple[np.ndarray, KernelLaunch]:
-    """Batched scatter product ``Y = A X`` with a thread-per-column kernel.
+    """Scatter product ``Y = A X`` with a thread-per-column CSC kernel.
 
-    Each thread whose column has any positive lane value atomically adds its
-    B-wide value row across the column's rows; lane results are bit-identical
-    to B separate :func:`sccsc_spmv_scatter` calls (the scatter plan's stable
-    ordering preserves the per-source accumulation order).
+    Each thread whose column has a positive lane value atomically adds its
+    B-wide value row to the ``Y`` rows of its column's entries; used by the
+    backward stage on digraphs.  Columns with no positive lane cost one
+    compare.
     """
-    X = M.as_frontier_matrix(X, csc.n_cols)
+    p = M.scatter_product(csc, X, out_dtype)
+    B, lanes = p.B, p.lanes
+    item = p.dtype.itemsize
+    df = W.dtype_cycle_factor(p.dtype)
+    l2 = device.spec.l2_bytes
     n = csc.n_cols
-    B = X.shape[1]
-    Xp = np.where(X > 0, X, X.dtype.type(0))
-    row_ptr, cols_in_row_order = csc.scatter_plan()
-    sums = M.scatter_spmm_values(row_ptr, cols_in_row_order, Xp)
-    out_dtype = out_dtype or X.dtype
-    Y = M.cast_like_spmv(sums, out_dtype, positive_only=False)
-
-    lanes = np.count_nonzero(Xp, axis=1).astype(np.int64)
-    degrees = csc.column_counts()
-    total_scanned = int(np.where(lanes > 0, degrees, 0).sum())
-    write_txn = W.bwide_gather_transactions(
-        total_scanned, B, csc.n_rows, np.dtype(out_dtype).itemsize,
-        l2_bytes=device.spec.l2_bytes,
+    scanned = np.where(lanes > 0, csc.column_counts(), 0).astype(np.int64)
+    total = int(scanned.sum())
+    extra = (lanes - 1) * df  # further lanes per scanned entry
+    rows = csc.row[p.kept]
+    stats = KernelStats(
+        name="sccsc_spmm_scatter",
+        threads=n,
+        warp_cycles=W.divergent_warp_cycles(
+            scanned * (_CYCLES_PER_ENTRY + _ATOMIC_CYCLES + extra),
+            base_cycles=_BASE_CYCLES,
+        ),
+        dram_read_bytes=(
+            2 * W.coalesced_transactions(n)
+            + int(np.sum((scanned + 7) // 8))
+            + W.bwide_gather_transactions(total, B, n, item, l2_bytes=l2)
+        ) * W.TRANSACTION_BYTES,
+        # per-lane serial atomic stores, thrashing-bounded like the gathers
+        dram_write_bytes=W.scalar_gather_transactions(
+            int(rows.size), csc.n_rows, 4, lanes=B, l2_bytes=l2
+        ) * W.TRANSACTION_BYTES,
+        requested_load_bytes=(2 * n + total) * 4 + int(lanes.sum()) * item,
+        # longest same-address atomic chain: a row's contributing entries
+        serial_updates=int(np.bincount(rows).max()) if rows.size else 0,
+        critical_warp_cycles=W.max_warp_cycles(
+            scanned * (_CRITICAL_CYCLES_PER_ENTRY + extra)
+        ),
+        flops=int((scanned * lanes).sum()),
     )
-    # Longest same-address atomic chain: a row's entries can all target one
-    # (row, lane) slot, so the cached row multiplicity bounds it.
-    serial = int(np.diff(row_ptr).max()) if csc.nnz else 0
-    stats = _sccsc_spmm_stats(csc, lanes, B, X.dtype, write_txn,
-                              "sccsc_spmm_scatter", device.spec.l2_bytes,
-                              serial_updates=serial, atomic=True)
-    return Y, device.launch(stats, tag=tag)
+    return p.Y, device.launch(stats, tag=tag)

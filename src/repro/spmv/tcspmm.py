@@ -128,89 +128,6 @@ def _tc_stats(
     )
 
 
-def tcspmm_spmv(
-    device: Device,
-    csc: CSCMatrix,
-    x: np.ndarray,
-    *,
-    allowed: np.ndarray | None = None,
-    out_dtype=None,
-    tag: str = "",
-) -> tuple[np.ndarray, KernelLaunch]:
-    """Masked gather product on the blocked tensor-core path (B = 1).
-
-    A single frontier vector fills one of 16 operand lanes, so tile-fill is
-    poor by construction -- the dispatcher only reaches for this on wide
-    batches, but the SpMV form exists so the static ``tcspmm`` algorithm
-    and the conformance configs exercise the same code path everywhere.
-    """
-    x = np.asarray(x)
-    if x.shape != (csc.n_rows,):
-        raise ValueError(f"x must have shape ({csc.n_rows},), got {x.shape}")
-    n = csc.n_cols
-    masked = allowed is not None
-    if allowed is None:
-        allowed = np.ones(n, dtype=bool)
-    else:
-        allowed = np.asarray(allowed)
-        if allowed.shape != (n,) or allowed.dtype != bool:
-            raise ValueError(f"allowed must be a boolean mask of shape ({n},)")
-
-    col_of_nnz = csc.column_of_nnz()
-    sel = allowed[col_of_nnz]
-    vals = x[csc.row[sel]]
-    sums = np.bincount(col_of_nnz[sel], weights=vals, minlength=n)
-    out_dtype = out_dtype or x.dtype
-    y = np.zeros(n, dtype=out_dtype)
-    written = sums > 0
-    with np.errstate(invalid="ignore"):  # int overflow surfaces via the sigma check
-        y[written] = sums[written].astype(out_dtype, copy=False)
-
-    active_rows = x > 0
-    stats = _tc_stats(
-        csc, stripe_any(active_rows), stripe_any(allowed), 1, x.dtype,
-        int(np.count_nonzero(written)),
-        int(np.count_nonzero(active_rows[csc.row[sel]])),
-        "tcspmm_spmv", device.spec.l2_bytes, chain_axis="col", masked=masked,
-    )
-    return y, device.launch(stats, tag=tag)
-
-
-def tcspmm_spmv_scatter(
-    device: Device,
-    csc: CSCMatrix,
-    x: np.ndarray,
-    *,
-    out_dtype=None,
-    tag: str = "",
-) -> tuple[np.ndarray, KernelLaunch]:
-    """Scatter product ``y = A x`` on the blocked path: tiles with an active
-    column stripe multiply un-transposed, committing into row stripes."""
-    x = np.asarray(x)
-    if x.shape != (csc.n_cols,):
-        raise ValueError(f"x must have shape ({csc.n_cols},), got {x.shape}")
-    active = x > 0
-    col_of_nnz = csc.column_of_nnz()
-    sel = active[col_of_nnz]
-    rows_sel = csc.row[sel]
-    out_dtype = out_dtype or x.dtype
-    y = np.zeros(csc.n_rows, dtype=out_dtype)
-    if rows_sel.size:
-        acc = np.bincount(rows_sel, weights=x[col_of_nnz[sel]], minlength=csc.n_rows)
-        with np.errstate(invalid="ignore"):
-            y[: acc.size] = acc.astype(out_dtype, copy=False)
-
-    n_tile_rows = -(-csc.n_rows // W.MMA_TILE)
-    stats = _tc_stats(
-        csc, np.ones(n_tile_rows, dtype=bool), stripe_any(active), 1, x.dtype,
-        int(np.count_nonzero(y != 0)),
-        int(rows_sel.size),
-        "tcspmm_spmv_scatter", device.spec.l2_bytes, chain_axis="row",
-        masked=False,
-    )
-    return y, device.launch(stats, tag=tag)
-
-
 def tcspmm_spmm(
     device: Device,
     csc: CSCMatrix,
@@ -220,48 +137,26 @@ def tcspmm_spmm(
     out_dtype=None,
     tag: str = "",
 ) -> tuple[np.ndarray, KernelLaunch]:
-    """Masked batched gather product ``Y = A^T X`` on the blocked path.
+    """Masked gather product ``Y = A^T X`` on the blocked path.
 
-    This is the kernel's home regime: B frontier lanes fill the MMA
-    operand, so each active tile amortises its decode over ``ceil(B/16)``
-    dense ops.  Lane results are bit-identical to B separate
-    :func:`tcspmm_spmv` calls.
+    Wide batches are the kernel's home regime: B frontier lanes fill the
+    MMA operand, so each active tile amortises its decode over
+    ``ceil(B/16)`` dense ops.  A single frontier vector (``B = 1``) fills
+    one of 16 operand lanes, so tile-fill is poor by construction -- the
+    dispatcher only reaches for it on wide batches, but the static
+    ``tcspmm`` algorithm and the conformance configs run it everywhere.
     """
-    X = M.as_frontier_matrix(X, csc.n_rows)
-    n = csc.n_cols
-    B = X.shape[1]
-    masked = allowed is not None
-    if allowed is None:
-        allowed = np.ones((n, B), dtype=bool)
-    else:
-        allowed = M.check_allowed_matrix(allowed, n, B)
-    col_select = allowed.any(axis=1)
-    sums = M.gather_spmm_values(
-        csc.row, csc.col_ptr, X, None if col_select.all() else col_select
-    )
-    if not allowed.all():
-        sums[~allowed] = 0.0
-    out_dtype = out_dtype or X.dtype
-    Y = M.cast_like_spmv(sums, out_dtype, positive_only=True)
-
-    written_cols = int(np.count_nonzero((sums > 0).any(axis=1)))
-    write_txn = written_cols * (-(-B * np.dtype(out_dtype).itemsize // W.TRANSACTION_BYTES))
-    active_rows = (X > 0).any(axis=1)
-    if csc.nnz:
-        col_of_nnz = csc.column_of_nnz()
-        sel = col_select[col_of_nnz]
-        hit = sel.copy()
-        hit[sel] = active_rows[csc.row[sel]]
-        lanes = allowed.sum(axis=1, dtype=np.int64)
-        n_flops = int(lanes[col_of_nnz[hit]].sum())
-    else:
-        n_flops = 0
+    p = M.gather_product(csc, X, allowed, out_dtype)
+    B = p.B
+    write_txn = p.written * W.coalesced_transactions(B, p.out_dtype.itemsize)
+    active_rows = M.any_lane(p.X > 0)
+    n_flops = int(p.lanes[csc.column_of_nnz()[p.kept]].sum())
     stats = _tc_stats(
-        csc, stripe_any(active_rows), stripe_any(col_select), B, X.dtype,
+        csc, stripe_any(active_rows), stripe_any(p.lanes > 0), B, p.dtype,
         write_txn, n_flops, "tcspmm_spmm", device.spec.l2_bytes,
-        chain_axis="col", masked=masked,
+        chain_axis="col", masked=p.masked,
     )
-    return Y, device.launch(stats, tag=tag)
+    return p.Y, device.launch(stats, tag=tag)
 
 
 def tcspmm_spmm_scatter(
@@ -272,30 +167,16 @@ def tcspmm_spmm_scatter(
     out_dtype=None,
     tag: str = "",
 ) -> tuple[np.ndarray, KernelLaunch]:
-    """Batched scatter product ``Y = A X`` on the blocked path; lane results
-    bit-identical to B separate :func:`tcspmm_spmv_scatter` calls."""
-    X = M.as_frontier_matrix(X, csc.n_cols)
-    n = csc.n_cols
-    B = X.shape[1]
-    Xp = np.where(X > 0, X, X.dtype.type(0))
-    row_ptr, cols_in_row_order = csc.scatter_plan()
-    sums = M.scatter_spmm_values(row_ptr, cols_in_row_order, Xp)
-    out_dtype = out_dtype or X.dtype
-    Y = M.cast_like_spmv(sums, out_dtype, positive_only=False)
-
-    active_cols = (Xp > 0).any(axis=1)
-    lanes = np.count_nonzero(Xp, axis=1).astype(np.int64)
-    if csc.nnz:
-        col_of_nnz = csc.column_of_nnz()
-        n_flops = int(lanes[col_of_nnz[active_cols[col_of_nnz]]].sum())
-    else:
-        n_flops = 0
-    written_rows = int(np.count_nonzero((sums != 0).any(axis=1)))
-    write_txn = written_rows * (-(-B * np.dtype(out_dtype).itemsize // W.TRANSACTION_BYTES))
+    """Scatter product ``Y = A X`` on the blocked path: tiles with an active
+    column stripe multiply un-transposed, committing into row stripes."""
+    p = M.scatter_product(csc, X, out_dtype)
+    B = p.B
+    write_txn = p.written * W.coalesced_transactions(B, p.out_dtype.itemsize)
+    n_flops = int(p.lanes[csc.column_of_nnz()[p.kept]].sum())
     n_tile_rows = -(-csc.n_rows // W.MMA_TILE)
     stats = _tc_stats(
-        csc, np.ones(n_tile_rows, dtype=bool), stripe_any(active_cols), B,
-        X.dtype, write_txn, n_flops, "tcspmm_spmm_scatter",
+        csc, np.ones(n_tile_rows, dtype=bool), stripe_any(p.lanes > 0), B,
+        p.dtype, write_txn, n_flops, "tcspmm_spmm_scatter",
         device.spec.l2_bytes, chain_axis="row", masked=False,
     )
-    return Y, device.launch(stats, tag=tag)
+    return p.Y, device.launch(stats, tag=tag)

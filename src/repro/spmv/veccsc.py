@@ -11,6 +11,11 @@ This removes both scalar-kernel pathologies on irregular graphs: a
 every lane busy (no divergence waste), and the ``row_A`` loads coalesce
 perfectly.  The price is that *low*-degree columns waste 31 of 32 lanes,
 which is why scalar kernels keep winning on regular graphs.
+
+The batched form streams each selected column's 32-entry strips once for
+all B lanes of an ``n x B`` frontier matrix: the warp loads 32 row indices
+coalesced, fetches 32 B-wide frontier rows, accumulates B partial sums and
+runs one shuffle reduction per lane.  ``B = 1`` is the paper's SpMV.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from repro.spmv import _spmm as M
 
 #: Issue cycles per warp for setup: pointer loads, mask compare, bookkeeping.
 _BASE_CYCLES = 6
-#: Issue cycles per 32-entry strip of a column (load rows, gather x, add).
+#: Issue cycles per 32-entry strip of a column (load rows, gather x, add);
+#: every further lane adds one accumulate per strip.
 _CYCLES_PER_STRIP = 4
 #: The shuffle reduction: log2(32) steps, ~2 cycles each.
 _SHUFFLE_CYCLES = 10
@@ -33,195 +39,53 @@ _SHUFFLE_CYCLES = 10
 
 def _veccsc_stats(
     csc: CSCMatrix,
-    processed: np.ndarray,
-    x: np.ndarray,
-    sel_entries: np.ndarray,
+    p: M.Product,
+    sel_rows: np.ndarray,
     n_written: int,
     name: str,
     l2_bytes: int,
     x_txn: int | None = None,
     serial_updates: int = 0,
 ) -> KernelStats:
-    """Hardware stats for a warp-per-column pass over ``processed`` columns."""
+    """Hardware stats for a warp-per-column pass over the columns with
+    ``p.lanes > 0``.
+
+    ``sel_rows`` is the concatenation of the processed columns' row indices
+    in storage order, which is exactly the per-warp access sequence of the
+    B-wide frontier-row gather (strip boundaries align with columns up to
+    one extra transaction per column, counted with ``row_A``).
+    """
     n = csc.n_cols
-    dtype_factor = W.dtype_cycle_factor(x.dtype)
-    degrees = csc.column_counts().astype(np.int64)
-    scanned = np.where(processed, degrees, 0)
+    B, lanes = p.B, p.lanes
+    df = W.dtype_cycle_factor(p.dtype)
+    scanned = np.where(lanes > 0, csc.column_counts(), 0).astype(np.int64)
     strips = (scanned + W.WARP_SIZE - 1) // W.WARP_SIZE
-    total_scanned = int(scanned.sum())
+    total = int(scanned.sum())
     active = scanned > 0
+    per_strip = _CYCLES_PER_STRIP + lanes - 1  # strips is 0 where lanes is
     warp_cycles = int(
         n * _BASE_CYCLES
-        + (strips * _CYCLES_PER_STRIP * dtype_factor).sum()
-        + int(active.sum()) * _SHUFFLE_CYCLES * dtype_factor
-    )
-    critical = W.max_warp_cycles(
-        strips, cycles_per_unit=4 * _CYCLES_PER_STRIP * dtype_factor
+        + (strips * per_strip * df).sum()
+        + int(lanes[active].sum()) * _SHUFFLE_CYCLES * df
     )
     # row_A loads coalesce within the warp: ~8 words per transaction, plus
     # one boundary transaction per non-empty column.
     row_txn = int(np.sum((scanned + 7) // 8)) + int(active.sum())
-    # x gather: lanes of one warp load 32 different rows at once; the memory
-    # system merges addresses in the same 32 B segment.  sel_entries is the
-    # concatenation of the processed columns' row indices in storage order,
-    # which is exactly the per-warp access sequence (strip boundaries align
-    # with columns up to one extra transaction counted in `active` above).
     if x_txn is None:
-        x_txn = W.cached_gather_transactions(sel_entries, x.dtype.itemsize, csc.n_rows,
-                                             l2_bytes=l2_bytes)
-    ptr_txn = 2 * W.coalesced_transactions(n)
-    return KernelStats(
-        name=name,
-        threads=32 * n,
-        warp_cycles=warp_cycles,
-        dram_read_bytes=(ptr_txn + row_txn + x_txn) * W.TRANSACTION_BYTES,
-        dram_write_bytes=W.capped_random_transactions(n_written, n, 4) * W.TRANSACTION_BYTES,
-        requested_load_bytes=(2 * n + total_scanned) * 4
-        + total_scanned * x.dtype.itemsize,
-        serial_updates=serial_updates,
-        critical_warp_cycles=critical,
-        flops=total_scanned,
-    )
-
-
-def veccsc_spmv(
-    device: Device,
-    csc: CSCMatrix,
-    x: np.ndarray,
-    *,
-    allowed: np.ndarray | None = None,
-    out_dtype=None,
-    tag: str = "",
-) -> tuple[np.ndarray, KernelLaunch]:
-    """Masked gather product with the veCSC (warp-per-column) kernel.
-
-    Semantically identical to :func:`repro.spmv.sccsc.sccsc_spmv` -- only
-    the hardware cost differs.
-    """
-    x = np.asarray(x)
-    if x.shape != (csc.n_rows,):
-        raise ValueError(f"x must have shape ({csc.n_rows},), got {x.shape}")
-    n = csc.n_cols
-    x_txn = None
-    if allowed is None:
-        allowed = np.ones(n, dtype=bool)
-        x_txn = csc.full_gather_transactions(x.dtype.itemsize,
-                                             l2_bytes=device.spec.l2_bytes)
-    else:
-        allowed = np.asarray(allowed)
-        if allowed.shape != (n,) or allowed.dtype != bool:
-            raise ValueError(f"allowed must be a boolean mask of shape ({n},)")
-
-    col_of_nnz = csc.column_of_nnz()
-    sel = allowed[col_of_nnz]
-    sel_rows = csc.row[sel]
-    sums = np.bincount(col_of_nnz[sel], weights=x[sel_rows], minlength=n)
-    out_dtype = out_dtype or x.dtype
-    y = np.zeros(n, dtype=out_dtype)
-    written = sums > 0
-    with np.errstate(invalid="ignore"):  # int overflow surfaces via the sigma check
-        y[written] = sums[written].astype(out_dtype, copy=False)
-
-    stats = _veccsc_stats(csc, allowed, x, sel_rows,
-                          int(np.count_nonzero(written)), "veccsc_spmv",
-                          device.spec.l2_bytes, x_txn=x_txn)
-    return y, device.launch(stats, tag=tag)
-
-
-def veccsc_spmv_scatter(
-    device: Device,
-    csc: CSCMatrix,
-    x: np.ndarray,
-    *,
-    out_dtype=None,
-    tag: str = "",
-) -> tuple[np.ndarray, KernelLaunch]:
-    """Scatter product ``y = A x`` with a warp-per-column kernel.
-
-    Each warp whose column value is positive atomically adds it across the
-    column's rows with coalesced accesses; used by the backward stage on
-    digraphs.
-    """
-    x = np.asarray(x)
-    if x.shape != (csc.n_cols,):
-        raise ValueError(f"x must have shape ({csc.n_cols},), got {x.shape}")
-    n = csc.n_cols
-    active = x > 0
-    col_of_nnz = csc.column_of_nnz()
-    sel = active[col_of_nnz]
-    rows_sel = csc.row[sel]
-    out_dtype = out_dtype or x.dtype
-    y = np.zeros(csc.n_rows, dtype=out_dtype)
-    if rows_sel.size:
-        acc = np.bincount(rows_sel, weights=x[col_of_nnz[sel]], minlength=csc.n_rows)
-        with np.errstate(invalid="ignore"):
-            y[: acc.size] = acc.astype(out_dtype, copy=False)
-
-    serial = int(np.bincount(rows_sel, minlength=1).max()) if rows_sel.size else 0
-    stats = _veccsc_stats(csc, active, x, rows_sel,
-                          int(rows_sel.size), "veccsc_spmv_scatter",
-                          device.spec.l2_bytes, serial_updates=serial)
-    return y, device.launch(stats, tag=tag)
-
-
-# -- batched (SpMM) variants --------------------------------------------------
-#
-# The warp-per-column SpMM streams each selected column's 32-entry strips
-# once for all B lanes: the lanes load 32 row indices coalesced, fetch 32
-# B-wide frontier rows (B-word coalesced transactions instead of scattered
-# words), accumulate B partial sums and run one shuffle reduction per lane.
-# Crucially, the frontier-load transaction count has a closed form
-# (:func:`repro.gpusim.warp.bwide_gather_transactions`) -- no per-launch
-# index sort like the SpMV's warp-merge accounting.
-
-
-def _veccsc_spmm_stats(
-    csc: CSCMatrix,
-    lanes: np.ndarray,
-    B: int,
-    x_dtype,
-    write_txn: int,
-    name: str,
-    l2_bytes: int,
-    *,
-    serial_updates: int = 0,
-) -> KernelStats:
-    """Hardware stats for a warp-per-column SpMM pass over the columns with
-    ``lanes > 0`` (``lanes[c]`` = batch lanes column ``c`` contributes to)."""
-    x_itemsize = np.dtype(x_dtype).itemsize
-    dtype_factor = W.dtype_cycle_factor(x_dtype)
-    n = csc.n_cols
-    degrees = csc.column_counts()
-    scanned = np.where(lanes > 0, degrees, 0).astype(np.int64)
-    strips = (scanned + W.WARP_SIZE - 1) // W.WARP_SIZE
-    total_scanned = int(scanned.sum())
+        x_txn = W.cached_gather_transactions(sel_rows, p.dtype.itemsize, csc.n_rows,
+                                             lanes=B, l2_bytes=l2_bytes)
     lane_entries = int((scanned * lanes).sum())
-    active = scanned > 0
-    warp_cycles = int(
-        n * _BASE_CYCLES
-        + ((strips * (_CYCLES_PER_STRIP + lanes)) * dtype_factor).sum()
-        + int((lanes[active]).sum()) * _SHUFFLE_CYCLES * dtype_factor
-    )
-    critical = W.max_warp_cycles(
-        strips * (_CYCLES_PER_STRIP + lanes),
-        cycles_per_unit=4 * dtype_factor,
-    )
-    row_txn = int(np.sum((scanned + 7) // 8)) + int(active.sum())
-    x_txn = W.bwide_gather_transactions(
-        total_scanned, B, csc.n_rows, x_itemsize, l2_bytes=l2_bytes
-    )
-    ptr_txn = 2 * W.coalesced_transactions(n)
-    mask_txn = W.coalesced_transactions(n * B)
     return KernelStats(
         name=name,
         threads=32 * n,
         warp_cycles=warp_cycles,
-        dram_read_bytes=(ptr_txn + mask_txn + row_txn + x_txn) * W.TRANSACTION_BYTES,
-        dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
-        requested_load_bytes=(2 * n + n * B + total_scanned) * 4
-        + lane_entries * x_itemsize,
+        dram_read_bytes=(2 * W.coalesced_transactions(n) + row_txn + x_txn)
+        * W.TRANSACTION_BYTES,
+        dram_write_bytes=W.bwide_gather_transactions(n_written, B, n, 4)
+        * W.TRANSACTION_BYTES,
+        requested_load_bytes=(2 * n + total) * 4 + lane_entries * p.dtype.itemsize,
         serial_updates=serial_updates,
-        critical_warp_cycles=critical,
+        critical_warp_cycles=W.max_warp_cycles(strips * per_strip * 4 * df),
         flops=lane_entries,
     )
 
@@ -235,34 +99,24 @@ def veccsc_spmm(
     out_dtype=None,
     tag: str = "",
 ) -> tuple[np.ndarray, KernelLaunch]:
-    """Masked batched gather product ``Y = A^T X`` with the veCSC kernel.
+    """Masked gather product ``Y = A^T X`` with the veCSC kernel.
 
     Semantically identical to :func:`repro.spmv.sccsc.sccsc_spmm` -- only
     the hardware cost differs (warp-per-column streaming, no divergence on
     hub columns).
     """
-    X = M.as_frontier_matrix(X, csc.n_rows)
-    n = csc.n_cols
-    B = X.shape[1]
-    if allowed is None:
-        allowed = np.ones((n, B), dtype=bool)
+    p = M.gather_product(csc, X, allowed, out_dtype)
+    l2 = device.spec.l2_bytes
+    if p.masked:
+        sel_rows = csc.row[(p.lanes > 0)[csc.column_of_nnz()]]
+        x_txn = None
     else:
-        allowed = M.check_allowed_matrix(allowed, n, B)
-    col_select = allowed.any(axis=1)
-    sums = M.gather_spmm_values(
-        csc.row, csc.col_ptr, X, None if col_select.all() else col_select
-    )
-    if not allowed.all():
-        sums[~allowed] = 0.0
-    out_dtype = out_dtype or X.dtype
-    Y = M.cast_like_spmv(sums, out_dtype, positive_only=True)
-
-    written_cols = int(np.count_nonzero((sums > 0).any(axis=1)))
-    write_txn = written_cols * (-(-B * np.dtype(out_dtype).itemsize // W.TRANSACTION_BYTES))
-    lanes = allowed.sum(axis=1, dtype=np.int64)
-    stats = _veccsc_spmm_stats(csc, lanes, B, X.dtype, write_txn, "veccsc_spmm",
-                               device.spec.l2_bytes)
-    return Y, device.launch(stats, tag=tag)
+        # the unmasked backward product gathers through all of row_A
+        sel_rows = csc.row
+        x_txn = csc.full_gather_transactions(p.dtype.itemsize, lanes=p.B,
+                                             l2_bytes=l2)
+    stats = _veccsc_stats(csc, p, sel_rows, p.written, "veccsc_spmm", l2, x_txn=x_txn)
+    return p.Y, device.launch(stats, tag=tag)
 
 
 def veccsc_spmm_scatter(
@@ -273,28 +127,15 @@ def veccsc_spmm_scatter(
     out_dtype=None,
     tag: str = "",
 ) -> tuple[np.ndarray, KernelLaunch]:
-    """Batched scatter product ``Y = A X`` with a warp-per-column kernel.
+    """Scatter product ``Y = A X`` with a warp-per-column kernel.
 
-    Lane results are bit-identical to B separate
-    :func:`veccsc_spmv_scatter` calls.
+    Each warp whose column has a positive lane value atomically adds it
+    across the column's rows with coalesced accesses; used by the backward
+    stage on digraphs.
     """
-    X = M.as_frontier_matrix(X, csc.n_cols)
-    B = X.shape[1]
-    Xp = np.where(X > 0, X, X.dtype.type(0))
-    row_ptr, cols_in_row_order = csc.scatter_plan()
-    sums = M.scatter_spmm_values(row_ptr, cols_in_row_order, Xp)
-    out_dtype = out_dtype or X.dtype
-    Y = M.cast_like_spmv(sums, out_dtype, positive_only=False)
-
-    lanes = np.count_nonzero(Xp, axis=1).astype(np.int64)
-    degrees = csc.column_counts()
-    total_scanned = int(np.where(lanes > 0, degrees, 0).sum())
-    write_txn = W.bwide_gather_transactions(
-        total_scanned, B, csc.n_rows, np.dtype(out_dtype).itemsize,
-        l2_bytes=device.spec.l2_bytes,
-    )
-    serial = int(np.diff(row_ptr).max()) if csc.nnz else 0
-    stats = _veccsc_spmm_stats(csc, lanes, B, X.dtype, write_txn,
-                               "veccsc_spmm_scatter", device.spec.l2_bytes,
-                               serial_updates=serial)
-    return Y, device.launch(stats, tag=tag)
+    p = M.scatter_product(csc, X, out_dtype)
+    rows = csc.row[p.kept]
+    serial = int(np.bincount(rows).max()) if rows.size else 0
+    stats = _veccsc_stats(csc, p, rows, int(rows.size), "veccsc_spmm_scatter",
+                          device.spec.l2_bytes, serial_updates=serial)
+    return p.Y, device.launch(stats, tag=tag)

@@ -101,7 +101,7 @@ class TestDispatchObservability:
     def test_dispatcher_records_every_launch(self, small_directed):
         g = small_directed
         disp = AdaptiveDispatcher(g.to_csc(), Device().spec)
-        x = np.zeros(g.n, dtype=np.int32)
+        x = np.zeros((g.n, 1), dtype=np.int32)
         x[0] = 1
         allowed = x == 0
         kernel = disp.choose_forward(x, allowed)

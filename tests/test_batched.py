@@ -120,14 +120,16 @@ class TestBatchedBitIdentity:
         """Regression: the batched segment sum must round exactly like the
         sequential ``np.bincount`` accumulation.  ``np.add.reduceat`` does
         not (its float64 loop goes pairwise past a few entries), which once
-        made SpMM lanes drift ULPs from SpMV on columns of degree >= ~7."""
+        made batched lanes drift ULPs from B = 1 on columns of degree >= ~7."""
         from repro.spmv._spmm import segment_sums
 
         rng = np.random.default_rng(3)
         seg_ptr = np.array([0, 1, 1, 9, 40, 40, 73])
         vals = rng.uniform(0.1, 3.0, size=(seg_ptr[-1], 4))
-        sums = segment_sums(vals, seg_ptr, seg_ptr.size - 1)
         seg_of_entry = np.repeat(np.arange(seg_ptr.size - 1), np.diff(seg_ptr))
+        sums, kept = segment_sums(vals, np.arange(seg_ptr[-1]), seg_of_entry,
+                                  seg_ptr.size - 1)
+        assert kept.tolist() == list(range(seg_ptr[-1]))
         for j in range(vals.shape[1]):
             want = np.bincount(seg_of_entry, weights=vals[:, j],
                                minlength=seg_ptr.size - 1)
@@ -183,6 +185,55 @@ class TestBatchedOverflow:
         device = Device()
         turbo_bc(overflow_graph(), sources=[0, 115], batch_size=2, device=device)
         assert device.memory.used_bytes == 0
+
+
+def grid_graph(side: int) -> Graph:
+    """A ``side x side`` undirected grid: on a 40 x 40 grid the lattice-path
+    counts overflow int32 from every source."""
+    idx = np.arange(side * side).reshape(side, side)
+    edges = [(int(a), int(b)) for a, b in zip(idx[:, :-1].ravel(), idx[:, 1:].ravel())]
+    edges += [(int(a), int(b)) for a, b in zip(idx[:-1].ravel(), idx[1:].ravel())]
+    return Graph.from_edges(edges, side * side, directed=False)
+
+
+class TestB1OverflowKeepsCallerState:
+    """Regression: a ``batch_size=1`` int32 sigma overflow under
+    ``forward_dtype="auto"`` used to ``device.reset()`` the caller's device
+    and re-run every source.  It must behave like any batch width: keep the
+    caller's allocations and earlier launches, account the int32 pass, and
+    re-run only the overflowed sources."""
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_overflow_rerun_leaves_caller_state(self, batch):
+        from repro.baselines.brandes import brandes_bc
+
+        device = Device()
+        turbo_bc(random_graph(30, 0.1, directed=False, seed=1), sources=[0, 1],
+                 device=device)
+        earlier = device.profiler.total_launches()
+        assert earlier > 0
+        caller_buffer = device.memory.alloc("caller", 16, np.float32)
+
+        g = grid_graph(40)
+        srcs = [0, 820]
+        res = turbo_bc(g, sources=srcs, batch_size=batch, device=device)
+
+        assert not caller_buffer.is_freed
+        assert device.profiler.total_launches() == earlier + res.stats.kernel_launches
+        assert res.stats.rerun_sources == srcs
+        run = device.profiler.launches[earlier:]
+        # the int32 pass is accounted: one init per batch, plus one per
+        # re-run source
+        inits = sum(1 for launch in run if launch.name == "bfs_init")
+        assert inits == -(-len(srcs) // batch) + len(srcs)
+        assert res.stats.gpu_time_s == pytest.approx(sum(l.time_s for l in run))
+        assert_bc_close(res.bc, brandes_bc(g, sources=srcs), rtol=1e-6, atol=1e-6)
+        device.memory.free(caller_buffer)
+
+    def test_b1_reruns_only_overflowed_sources(self):
+        res = turbo_bc(overflow_graph(), sources=[0, 115, 118], batch_size=1)
+        assert res.stats.rerun_sources == [0]
+        assert res.stats.batch_size == 1
 
 
 class TestAutoBatchAndMemory:

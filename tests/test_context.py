@@ -7,6 +7,8 @@ from repro.core.context import TurboBCContext
 from repro.gpusim.device import Device
 from tests.conftest import random_graph
 
+BATCHES = (1, 3)
+
 
 @pytest.fixture
 def graph():
@@ -42,42 +44,50 @@ class TestAllocationChoreography:
     def test_forward_arrays_freed_before_backward(self, graph):
         """The Section 3.4 choreography now runs inside the arena slab: the
         int frontier blocks are released before the float delta blocks are
-        carved, so they never coexist."""
-        device = Device()
-        ctx = TurboBCContext(device, graph, "sccsc")
-        ctx.alloc_forward()
-        fwd_blocks = {a.name: a for a in ctx._forward_arrs}
-        assert set(fwd_blocks) == {"f", "ft", "sigma", "S"}
-        f, ft = fwd_blocks["f"], fwd_blocks["ft"]
-        ctx.swap_to_backward()
-        assert f.is_freed and ft.is_freed
-        live = {a.name for a in ctx._forward_arrs + ctx._backward_arrs}
-        assert live == {"sigma", "S", "delta", "delta_u", "delta_ut"}
-        # the released frontier bytes were recycled into the delta blocks
-        assert ctx._arena.reuses >= 2
-        ctx.abort()
+        carved, so they never coexist.  ``B = 1`` keeps the paper's vector
+        names; a batch's ``(n, B)`` matrices are capitalised."""
+        for B, fwd_names, live_names in (
+            (1, {"f", "ft", "sigma", "S"}, {"sigma", "S", "delta", "delta_u", "delta_ut"}),
+            (3, {"F", "Ft", "Sigma", "S"}, {"Sigma", "S", "Delta", "Delta_u", "Delta_ut"}),
+        ):
+            device = Device()
+            ctx = TurboBCContext(device, graph, "sccsc")
+            ctx.alloc_forward_batch(B)
+            fwd_blocks = {a.name: a for a in ctx._forward_arrs}
+            assert set(fwd_blocks) == fwd_names
+            f, ft = ctx._forward_arrs[:2]
+            ctx.swap_to_backward_batch()
+            assert f.is_freed and ft.is_freed
+            live = {a.name for a in ctx._forward_arrs + ctx._backward_arrs}
+            assert live == live_names
+            # the released frontier bytes were recycled into the delta blocks
+            assert ctx._arena.reuses >= 2
+            ctx.abort()
 
     def test_peak_is_7n_plus_m(self, graph):
-        """The paper's headline footprint: 7n + m words for CSC."""
-        device = Device()
-        ctx = TurboBCContext(device, graph, "sccsc")
-        ctx.alloc_forward()
-        ctx.swap_to_backward()
+        """The paper's headline footprint: 7n + m words for CSC (the batched
+        5nB + 2n + 1 + m words at B = 1)."""
         n, m = graph.n, graph.m
-        assert device.memory.peak_bytes == 4 * (7 * n + 1 + m)
-        ctx.abort()
+        for B in BATCHES:
+            device = Device()
+            ctx = TurboBCContext(device, graph, "sccsc")
+            ctx.alloc_forward_batch(B)
+            ctx.swap_to_backward_batch()
+            assert device.memory.peak_bytes == 4 * (5 * n * B + 2 * n + 1 + m)
+            ctx.abort()
 
     def test_release_source_keeps_matrix(self, graph):
         """Matrix, ``bc`` and the arena slab survive a source release; the
         per-source blocks return to the slab without touching the allocator."""
-        device = Device()
-        ctx = TurboBCContext(device, graph, "sccsc")
-        ctx.alloc_forward()
-        ctx.release_source()
-        names = {a.name for a in device.memory.live_arrays}
-        assert names == {"CP_A", "row_A", "bc", "arena"}
-        assert ctx._arena.free_bytes == ctx._arena.capacity_bytes
-        ctx.abort()
+        for B in BATCHES:
+            device = Device()
+            ctx = TurboBCContext(device, graph, "sccsc")
+            ctx.alloc_forward_batch(B)
+            ctx.release_source()
+            names = {a.name for a in device.memory.live_arrays}
+            assert names == {"CP_A", "row_A", "bc", "arena"}
+            assert ctx._arena.free_bytes == ctx._arena.capacity_bytes
+            ctx.abort()
 
     def test_close_frees_everything_and_returns_bc(self, graph):
         device = Device()
@@ -88,11 +98,12 @@ class TestAllocationChoreography:
         assert device.memory.used_bytes == 0
 
     def test_abort_idempotent_cleanup(self, graph):
-        device = Device()
-        ctx = TurboBCContext(device, graph, "sccsc")
-        ctx.alloc_forward()
-        ctx.abort()
-        assert device.memory.used_bytes == 0
+        for B in BATCHES:
+            device = Device()
+            ctx = TurboBCContext(device, graph, "sccsc")
+            ctx.alloc_forward_batch(B)
+            ctx.abort()
+            assert device.memory.used_bytes == 0
 
     def test_unknown_algorithm(self, graph):
         with pytest.raises(ValueError, match="unknown algorithm"):
@@ -108,28 +119,37 @@ class TestBackwardDispatch:
     def test_directed_uses_scatter(self, graph):
         device = Device()
         ctx = TurboBCContext(device, graph, "sccsc")
-        x = np.zeros(graph.n, dtype=np.float32)
-        x[0] = 1.0
-        _, launch = ctx.spmv_backward(x)
-        assert "scatter" in launch.stats.name
+        for B in BATCHES:
+            X = np.zeros((graph.n, B), dtype=np.float32)
+            X[0] = 1.0
+            _, launch = ctx.spmm_backward(X)
+            assert launch.stats.name == "sccsc_spmm_scatter"
 
     def test_undirected_uses_gather(self):
         g = random_graph(50, 0.08, directed=False, seed=4)
         device = Device()
         ctx = TurboBCContext(device, g, "sccsc")
-        x = np.zeros(g.n, dtype=np.float32)
-        x[0] = 1.0
-        _, launch = ctx.spmv_backward(x)
-        assert launch.stats.name == "sccsc_spmv"
+        for B in BATCHES:
+            X = np.zeros((g.n, B), dtype=np.float32)
+            X[0] = 1.0
+            _, launch = ctx.spmm_backward(X)
+            assert launch.stats.name == "sccsc_spmm"
 
     @pytest.mark.parametrize("alg", ["sccooc", "sccsc", "veccsc"])
     def test_backward_directed_equals_reverse_gather(self, graph, alg, rng):
-        """On digraphs the backward product must equal A x (reverse edges)."""
-        from repro.spmv import reference_spmv
+        """On digraphs the backward product must equal A X (reverse edges)."""
+        from repro.spmv import reference_spmm
 
         device = Device()
         ctx = TurboBCContext(device, graph, alg)
-        x = rng.random(graph.n).astype(np.float64)
-        y, _ = ctx.spmv_backward(x)
-        expected = reference_spmv(graph.reverse().to_csc(), x)
-        np.testing.assert_allclose(y, expected, rtol=1e-6)
+        for B in BATCHES:
+            X = rng.random((graph.n, B))
+            Y, _ = ctx.spmm_backward(X)
+            expected = reference_spmm(graph.reverse().to_csc(), X)
+            np.testing.assert_allclose(Y, expected, rtol=1e-6)
+
+    def test_single_source_names_alias_the_batched_products(self):
+        """``spmv_forward``/``spmv_backward`` are the B = 1 spelling of the
+        SpMM dispatch, not a second path."""
+        assert TurboBCContext.spmv_forward is TurboBCContext.spmm_forward
+        assert TurboBCContext.spmv_backward is TurboBCContext.spmm_backward

@@ -35,16 +35,10 @@ from repro.obs.roofline import classify_launch
 from repro.spmv import (
     pullcsc_spmm,
     pullcsc_spmm_scatter,
-    pullcsc_spmv,
-    pullcsc_spmv_scatter,
     sccsc_spmm,
     sccsc_spmm_scatter,
-    sccsc_spmv,
-    sccsc_spmv_scatter,
     tcspmm_spmm,
     tcspmm_spmm_scatter,
-    tcspmm_spmv,
-    tcspmm_spmv_scatter,
 )
 from repro.spmv.pullcsc import first_hit_probes
 
@@ -111,27 +105,30 @@ class TestPullEarlyExit:
 
     def test_early_exit_kernel_stats_closed_form(self):
         csc = self._star_graph().to_csc()
-        device = Device()
         x = np.array([0, 1, 0, 0], dtype=np.int32)
-        allowed = np.ones(4, dtype=bool)
-        _, launch = pullcsc_spmv(device, csc, x, allowed=allowed)
-        s = launch.stats
+        for B in (1, 3):
+            device = Device()
+            X = np.repeat(x[:, None], B, axis=1)
+            allowed = np.ones((4, B), dtype=bool)
+            _, launch = pullcsc_spmm(device, csc, X, allowed=allowed)
+            s = launch.stats
 
-        # Hand-derived per-column work: probe [0,0,1,2], discovered column 3
-        # re-scans its full degree (3), one contributing entry (row 1 in
-        # column 3).  Probe cycles 2/entry, gather 3/entry (int dtype factor
-        # 1), thread base 4, plus the fused bitmap build (2 cycles/row).
-        scanned = np.array([0, 0, 1, 2 + 3])
-        contrib = np.array([0, 0, 0, 1])
-        want_cycles = W.divergent_warp_cycles(
-            scanned * 2 + contrib * 3, base_cycles=4
-        ) + W.uniform_warp_cycles(4, 2)
-        assert s.warp_cycles == want_cycles
-        assert s.critical_warp_cycles == W.max_warp_cycles(
-            scanned * 4 + contrib * 12
-        )
-        assert s.flops == 1  # one written output column
-        assert s.mma_ops == 0
+            # Hand-derived per-column work: probe [0,0,1,2], discovered
+            # column 3 re-scans its full degree (3), one contributing entry
+            # (row 1 in column 3) gathered for all B lanes.  Probe cycles
+            # 2/entry, gather 3/entry-lane (int dtype factor 1), thread
+            # base 4, plus the fused bitmap build (2 cycles/row-lane).
+            scanned = np.array([0, 0, 1, 2 + 3])
+            contrib = np.array([0, 0, 0, 1])
+            want_cycles = W.divergent_warp_cycles(
+                scanned * 2 + contrib * B * 3, base_cycles=4
+            ) + W.uniform_warp_cycles(4 * B, 2)
+            assert s.warp_cycles == want_cycles
+            assert s.critical_warp_cycles == W.max_warp_cycles(
+                scanned * 4 + contrib * B * 12
+            )
+            assert s.flops == B  # one written output column per lane
+            assert s.mma_ops == 0
 
     def test_early_exit_beats_full_scan_on_dense_frontier(self):
         # A clique-ish column: the denser the frontier, the fewer probes
@@ -147,8 +144,10 @@ class TestPullEarlyExit:
         dense = np.ones(n, dtype=np.int32)
         sparse = np.zeros(n, dtype=np.int32)
         sparse[0] = 1
-        _, launch_dense = pullcsc_spmv(device, csc, dense, allowed=allowed)
-        _, launch_sparse = pullcsc_spmv(device, csc, sparse, allowed=allowed)
+        _, launch_dense = pullcsc_spmm(device, csc, dense[:, None],
+                                       allowed=allowed[:, None])
+        _, launch_sparse = pullcsc_spmm(device, csc, sparse[:, None],
+                                        allowed=allowed[:, None])
         probes_dense, _ = first_hit_probes(csc, allowed, dense > 0)
         probes_sparse, _ = first_hit_probes(csc, allowed, sparse > 0)
         assert probes_dense.sum() < probes_sparse.sum()
@@ -208,9 +207,9 @@ class TestTensorCoreTiles:
     def test_spmv_single_lane_fill(self):
         csc = self._bipartite_block()
         device = Device()
-        x = np.zeros(32, dtype=np.float64)
+        x = np.zeros((32, 1), dtype=np.float64)
         x[:16] = 1.0
-        _, launch = tcspmm_spmv(device, csc, x)
+        _, launch = tcspmm_spmm(device, csc, x)
         assert launch.stats.mma_ops == 1  # ceil(1/16) per active tile
         c = counters_for_launch(launch, device.spec)
         assert c.mma_tile_fill == pytest.approx(256 / 4096)  # 1 of 16 lanes
@@ -310,16 +309,17 @@ class TestNewKernelFuzzSoak:
             allowed = rng.random(g.n) < 0.5
             allowed_mm = rng.random((g.n, 4)) < 0.5
 
-            ref, _ = sccsc_spmv(device, csc, x, allowed=allowed)
-            for fn in (pullcsc_spmv, tcspmm_spmv):
+            x, xs, allowed = x[:, None], xs[:, None], allowed[:, None]
+            ref, _ = sccsc_spmm(device, csc, x, allowed=allowed)
+            for fn in (pullcsc_spmm, tcspmm_spmm):
                 got, _ = fn(device, csc, x, allowed=allowed)
                 assert np.array_equal(got, ref), (case.recipe, fn.__name__)
-            ref, _ = sccsc_spmv(device, csc, x)
-            for fn in (pullcsc_spmv, tcspmm_spmv):
+            ref, _ = sccsc_spmm(device, csc, x)
+            for fn in (pullcsc_spmm, tcspmm_spmm):
                 got, _ = fn(device, csc, x)
                 assert np.array_equal(got, ref), (case.recipe, fn.__name__)
-            ref, _ = sccsc_spmv_scatter(device, csc, xs)
-            for fn in (pullcsc_spmv_scatter, tcspmm_spmv_scatter):
+            ref, _ = sccsc_spmm_scatter(device, csc, xs)
+            for fn in (pullcsc_spmm_scatter, tcspmm_spmm_scatter):
                 got, _ = fn(device, csc, xs)
                 assert np.array_equal(got, ref), (case.recipe, fn.__name__)
             ref, _ = sccsc_spmm(device, csc, X, allowed=allowed_mm)

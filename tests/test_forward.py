@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.context import TurboBCContext
-from repro.core.forward import SigmaOverflowError, bfs_forward
+from repro.core.forward import SigmaOverflowError, bfs_forward, bfs_forward_batch
 from repro.core.bfs import turbo_bfs
 from repro.graphs.graph import Graph
 from repro.gpusim.device import Device
@@ -12,9 +12,20 @@ from tests.conftest import random_graph
 
 
 def run_forward(graph, source, algorithm="sccsc", dtype=np.int64):
-    device = Device()
-    ctx = TurboBCContext(device, graph, algorithm, forward_dtype=dtype)
-    return bfs_forward(ctx, source)
+    """The ``B = 1`` forward stage from ``source``; the same source as lane
+    0 of a three-lane batch (with other sources alongside) must agree."""
+    fwd = bfs_forward(TurboBCContext(Device(), graph, algorithm, forward_dtype=dtype),
+                      source)
+    others = [v for v in range(graph.n) if v != source][:2]
+    batch = bfs_forward_batch(
+        TurboBCContext(Device(), graph, algorithm, forward_dtype=dtype),
+        [source, *others],
+    )
+    lane = batch.lane(0)
+    np.testing.assert_array_equal(lane.sigma, fwd.sigma)
+    np.testing.assert_array_equal(lane.levels, fwd.levels)
+    assert (lane.depth, lane.frontier_sizes) == (fwd.depth, fwd.frontier_sizes)
+    return fwd
 
 
 def nx_counts(graph, source):
@@ -131,4 +142,4 @@ class TestTurboBFSApi:
         device = Device()
         turbo_bfs(small_undirected, 0, device=device, algorithm="sccsc")
         names = device.profiler.kernel_names()
-        assert "sccsc_spmv" in names and "bfs_update" in names
+        assert "sccsc_spmm" in names and "bfs_update" in names

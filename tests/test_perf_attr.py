@@ -25,7 +25,8 @@ from repro.obs.roofline import (
     roofline_for_launch,
     roofline_report,
 )
-from repro.spmv.sccsc import _sccsc_stats, sccsc_spmv
+from repro.spmv._spmm import gather_product
+from repro.spmv.sccsc import _sccsc_stats, sccsc_spmm
 from tests.conftest import random_graph
 
 
@@ -43,14 +44,11 @@ class TestCounters:
         g = random_graph(60, 0.15, directed=False, seed=5)
         csc = g.to_csc()
         dev = Device()
-        x = np.zeros(g.n, dtype=np.int32)
+        x = np.zeros((g.n, 1), dtype=np.int32)
         x[0] = 1
-        allowed = np.ones(g.n, dtype=bool)
-        y, launch = sccsc_spmv(dev, csc, x, allowed=allowed)
-        expected = _sccsc_stats(
-            csc, allowed, np.int32, int(np.count_nonzero(y)),
-            "sccsc_spmv", dev.spec.l2_bytes,
-        )
+        allowed = np.ones((g.n, 1), dtype=bool)
+        _, launch = sccsc_spmm(dev, csc, x, allowed=allowed)
+        expected = _sccsc_stats(csc, gather_product(csc, x, allowed), dev.spec.l2_bytes)
         c = counters_for_launch(launch, dev.spec)
         assert c.dram_read_bytes == expected.dram_read_bytes
         assert c.dram_write_bytes == expected.dram_write_bytes

@@ -297,7 +297,7 @@ class TestInjectedSlowdownGate:
     def test_per_kernel_slowdown_syntax(self, monkeypatch):
         g = random_graph(50, 0.15, directed=False, seed=12)
         base = turbo_bc(g, sources=[0], algorithm="veccsc")
-        monkeypatch.setenv("REPRO_INJECT_SLOWDOWN", "veccsc_spmv:3.0")
+        monkeypatch.setenv("REPRO_INJECT_SLOWDOWN", "veccsc_spmm:3.0")
         slow = turbo_bc(g, sources=[0], algorithm="veccsc")
         assert slow.stats.gpu_time_s > base.stats.gpu_time_s
         assert np.array_equal(slow.bc, base.bc)

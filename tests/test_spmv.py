@@ -1,30 +1,36 @@
-"""SpMV kernel tests: every kernel against the reference oracle."""
+"""Sparse-product kernel tests: every kernel against the reference oracle.
+
+Each case runs at every batch width in ``BATCHES``: ``B = 1`` is the
+paper's per-source SpMV, wider batches check every lane.
+"""
 
 import numpy as np
 import pytest
 
 from repro.gpusim.device import Device
 from repro.spmv import (
-    reference_spmv,
-    reference_spmv_scatter,
-    sccooc_spmv,
-    sccooc_spmv_scatter,
-    sccsc_spmv,
-    sccsc_spmv_scatter,
-    veccsc_spmv,
-    veccsc_spmv_scatter,
+    reference_spmm,
+    reference_spmm_scatter,
+    sccooc_spmm,
+    sccooc_spmm_scatter,
+    sccsc_spmm,
+    sccsc_spmm_scatter,
+    veccsc_spmm,
+    veccsc_spmm_scatter,
 )
 from tests.conftest import random_graph
 
+BATCHES = (1, 3)
+
 GATHER_KERNELS = {
-    "sccooc": lambda dev, g, x, **kw: sccooc_spmv(dev, g.to_cooc(), x, **kw),
-    "sccsc": lambda dev, g, x, **kw: sccsc_spmv(dev, g.to_csc(), x, **kw),
-    "veccsc": lambda dev, g, x, **kw: veccsc_spmv(dev, g.to_csc(), x, **kw),
+    "sccooc": lambda dev, g, x, **kw: sccooc_spmm(dev, g.to_cooc(), x, **kw),
+    "sccsc": lambda dev, g, x, **kw: sccsc_spmm(dev, g.to_csc(), x, **kw),
+    "veccsc": lambda dev, g, x, **kw: veccsc_spmm(dev, g.to_csc(), x, **kw),
 }
 SCATTER_KERNELS = {
-    "sccooc": lambda dev, g, x, **kw: sccooc_spmv_scatter(dev, g.to_cooc(), x, **kw),
-    "sccsc": lambda dev, g, x, **kw: sccsc_spmv_scatter(dev, g.to_csc(), x, **kw),
-    "veccsc": lambda dev, g, x, **kw: veccsc_spmv_scatter(dev, g.to_csc(), x, **kw),
+    "sccooc": lambda dev, g, x, **kw: sccooc_spmm_scatter(dev, g.to_cooc(), x, **kw),
+    "sccsc": lambda dev, g, x, **kw: sccsc_spmm_scatter(dev, g.to_csc(), x, **kw),
+    "veccsc": lambda dev, g, x, **kw: veccsc_spmm_scatter(dev, g.to_csc(), x, **kw),
 }
 
 
@@ -35,99 +41,114 @@ def graph():
 
 @pytest.fixture
 def x_int(graph, rng):
-    return rng.integers(0, 4, graph.n).astype(np.int32)
+    """Integer frontiers, one per batch width."""
+    return {B: rng.integers(0, 4, (graph.n, B)).astype(np.int32) for B in BATCHES}
 
 
 @pytest.fixture
 def x_float(graph, rng):
-    return (rng.random(graph.n) * (rng.random(graph.n) < 0.5)).astype(np.float32)
+    return {
+        B: (rng.random((graph.n, B)) * (rng.random((graph.n, B)) < 0.5)).astype(np.float32)
+        for B in BATCHES
+    }
 
 
 class TestGatherKernels:
     @pytest.mark.parametrize("name", GATHER_KERNELS)
     def test_matches_reference_int(self, name, graph, x_int, device):
-        y, _ = GATHER_KERNELS[name](device, graph, x_int)
-        np.testing.assert_array_equal(y, reference_spmv(graph.to_csc(), x_int))
+        for X in x_int.values():
+            Y, _ = GATHER_KERNELS[name](device, graph, X)
+            np.testing.assert_array_equal(Y, reference_spmm(graph.to_csc(), X))
 
     @pytest.mark.parametrize("name", GATHER_KERNELS)
     def test_matches_reference_float(self, name, graph, x_float, device):
-        y, _ = GATHER_KERNELS[name](device, graph, x_float)
-        np.testing.assert_allclose(
-            y, reference_spmv(graph.to_csc(), x_float.astype(np.float64)), rtol=1e-6
-        )
+        for X in x_float.values():
+            Y, _ = GATHER_KERNELS[name](device, graph, X)
+            np.testing.assert_allclose(
+                Y, reference_spmm(graph.to_csc(), X.astype(np.float64)), rtol=1e-6
+            )
 
     @pytest.mark.parametrize("name", GATHER_KERNELS)
     def test_zero_vector(self, name, graph, device):
-        x = np.zeros(graph.n, dtype=np.int32)
-        y, _ = GATHER_KERNELS[name](device, graph, x)
-        assert not y.any()
+        for B in BATCHES:
+            Y, _ = GATHER_KERNELS[name](device, graph, np.zeros((graph.n, B), np.int32))
+            assert not Y.any()
 
     @pytest.mark.parametrize("name", GATHER_KERNELS)
     def test_rejects_wrong_shape(self, name, graph, device):
-        with pytest.raises(ValueError, match="shape"):
-            GATHER_KERNELS[name](device, graph, np.zeros(graph.n + 1, dtype=np.int32))
+        for shape in ((graph.n + 1, 1), (graph.n,), (graph.n, 0)):
+            with pytest.raises(ValueError, match="shape"):
+                GATHER_KERNELS[name](device, graph, np.zeros(shape, dtype=np.int32))
 
     @pytest.mark.parametrize("name", ["sccsc", "veccsc"])
     def test_mask_zeroes_disallowed_columns(self, name, graph, x_int, device, rng):
-        allowed = rng.random(graph.n) < 0.4
-        y, _ = GATHER_KERNELS[name](device, graph, x_int, allowed=allowed)
-        full = reference_spmv(graph.to_csc(), x_int)
-        np.testing.assert_array_equal(y, np.where(allowed, full, 0))
+        for B, X in x_int.items():
+            allowed = rng.random((graph.n, B)) < 0.4
+            Y, _ = GATHER_KERNELS[name](device, graph, X, allowed=allowed)
+            full = reference_spmm(graph.to_csc(), X)
+            np.testing.assert_array_equal(Y, np.where(allowed, full, 0))
 
     @pytest.mark.parametrize("name", ["sccsc", "veccsc"])
     def test_mask_must_be_bool(self, name, graph, x_int, device):
-        with pytest.raises(ValueError, match="boolean"):
-            GATHER_KERNELS[name](device, graph, x_int, allowed=np.ones(graph.n))
+        for B, X in x_int.items():
+            with pytest.raises(ValueError, match="boolean"):
+                GATHER_KERNELS[name](device, graph, X, allowed=np.ones((graph.n, B)))
 
     @pytest.mark.parametrize("name", GATHER_KERNELS)
     def test_out_dtype_override(self, name, graph, x_int, device):
-        y, _ = GATHER_KERNELS[name](device, graph, x_int, out_dtype=np.float32)
-        assert y.dtype == np.float32
+        for X in x_int.values():
+            Y, _ = GATHER_KERNELS[name](device, graph, X, out_dtype=np.float32)
+            assert Y.dtype == np.float32
 
 
 class TestScatterKernels:
     @pytest.mark.parametrize("name", SCATTER_KERNELS)
     def test_matches_reference(self, name, graph, x_int, device):
-        y, _ = SCATTER_KERNELS[name](device, graph, x_int)
-        np.testing.assert_array_equal(y, reference_spmv_scatter(graph.to_csc(), x_int))
+        for X in x_int.values():
+            Y, _ = SCATTER_KERNELS[name](device, graph, X)
+            np.testing.assert_array_equal(Y, reference_spmm_scatter(graph.to_csc(), X))
 
     @pytest.mark.parametrize("name", SCATTER_KERNELS)
     def test_scatter_is_gather_of_transpose(self, name, graph, x_int, device):
-        y, _ = SCATTER_KERNELS[name](device, graph, x_int)
-        yt = reference_spmv(graph.reverse().to_csc(), x_int)
-        np.testing.assert_array_equal(y, yt)
+        for X in x_int.values():
+            Y, _ = SCATTER_KERNELS[name](device, graph, X)
+            np.testing.assert_array_equal(Y, reference_spmm(graph.reverse().to_csc(), X))
 
     @pytest.mark.parametrize("name", SCATTER_KERNELS)
     def test_rejects_wrong_shape(self, name, graph, device):
         with pytest.raises(ValueError, match="shape"):
-            SCATTER_KERNELS[name](device, graph, np.zeros(graph.n - 1, dtype=np.int32))
+            SCATTER_KERNELS[name](device, graph, np.zeros((graph.n - 1, 1), dtype=np.int32))
 
 
 class TestKernelStats:
     def test_launch_recorded(self, graph, x_int):
         dev = Device()
-        _, launch = sccsc_spmv(dev, graph.to_csc(), x_int)
+        _, launch = sccsc_spmm(dev, graph.to_csc(), x_int[1])
         assert dev.profiler.total_launches() == 1
-        assert launch.stats.name == "sccsc_spmv"
+        assert launch.stats.name == "sccsc_spmm"
 
     def test_sccooc_threads_equal_edges(self, graph, x_int, device):
-        _, launch = sccooc_spmv(device, graph.to_cooc(), x_int)
-        assert launch.stats.threads == graph.m
+        for X in x_int.values():
+            _, launch = sccooc_spmm(device, graph.to_cooc(), X)
+            assert launch.stats.threads == graph.m
 
     def test_sccsc_threads_equal_vertices(self, graph, x_int, device):
-        _, launch = sccsc_spmv(device, graph.to_csc(), x_int)
-        assert launch.stats.threads == graph.n
+        for X in x_int.values():
+            _, launch = sccsc_spmm(device, graph.to_csc(), X)
+            assert launch.stats.threads == graph.n
 
     def test_veccsc_threads_are_warp_per_column(self, graph, x_int, device):
-        _, launch = veccsc_spmv(device, graph.to_csc(), x_int)
-        assert launch.stats.threads == 32 * graph.n
+        for X in x_int.values():
+            _, launch = veccsc_spmm(device, graph.to_csc(), X)
+            assert launch.stats.threads == 32 * graph.n
 
     def test_mask_reduces_work(self, graph, x_int, device):
-        _, full = sccsc_spmv(device, graph.to_csc(), x_int)
-        allowed = np.zeros(graph.n, dtype=bool)
-        _, masked = sccsc_spmv(device, graph.to_csc(), x_int, allowed=allowed)
-        assert masked.stats.dram_bytes < full.stats.dram_bytes
-        assert masked.stats.warp_cycles < full.stats.warp_cycles
+        for B, X in x_int.items():
+            _, full = sccsc_spmm(device, graph.to_csc(), X)
+            allowed = np.zeros((graph.n, B), dtype=bool)
+            _, masked = sccsc_spmm(device, graph.to_csc(), X, allowed=allowed)
+            assert masked.stats.dram_bytes < full.stats.dram_bytes
+            assert masked.stats.warp_cycles < full.stats.warp_cycles
 
     def test_divergence_hurts_sccsc_not_veccsc(self, device, rng):
         """A degree-skewed graph must cost scCSC more warp cycles per edge
@@ -144,16 +165,62 @@ class TestKernelStats:
         from repro.graphs.graph import Graph
 
         g = Graph(src, dst, n, directed=True)
-        x = np.ones(n, dtype=np.int32)
-        _, sc = sccsc_spmv(device, g.to_csc(), x)
-        _, ve = veccsc_spmv(device, g.to_csc(), x)
-        assert sc.stats.warp_cycles > 2 * ve.stats.warp_cycles
+        for B in BATCHES:
+            X = np.ones((n, B), dtype=np.int32)
+            _, sc = sccsc_spmm(device, g.to_csc(), X)
+            _, ve = veccsc_spmm(device, g.to_csc(), X)
+            assert sc.stats.warp_cycles > 2 * ve.stats.warp_cycles
 
     def test_empty_graph_kernels(self, device):
         from repro.graphs.graph import Graph
 
         g = Graph([], [], 8, directed=True)
-        x = np.ones(8, dtype=np.int32)
-        for name, k in {**GATHER_KERNELS, **SCATTER_KERNELS}.items():
-            y, _ = k(device, g, x)
-            assert not y.any(), name
+        for B in BATCHES:
+            X = np.ones((8, B), dtype=np.int32)
+            for name, k in {**GATHER_KERNELS, **SCATTER_KERNELS}.items():
+                Y, _ = k(device, g, X)
+                assert not Y.any(), name
+
+
+class TestB1ReducesToSpMV:
+    """At ``B = 1`` every kernel's one cost formula is the paper's SpMV
+    formula: ``tests/golden/kernel_stats_b1.json`` pins each field of the
+    ``KernelStats`` the per-source SpMV kernels reported (6 kernels x gather
+    and scatter, an int32 forward and a float32 backward frontier, three
+    golden-corpus graphs), and each B = 1 launch must reproduce it exactly
+    (kernel names now carry ``_spmm``)."""
+
+    def test_b1_launches_match_spmv_golden(self):
+        import dataclasses
+        import json
+        import pathlib
+
+        from repro.conformance.golden import golden_dir, load_golden_case
+        from repro import spmv
+
+        doc = json.loads(
+            (pathlib.Path(__file__).parent / "golden" / "kernel_stats_b1.json").read_text()
+        )
+        assert len(doc["cases"]) == 72
+        graphs = {}
+        for case in doc["cases"]:
+            name = case["graph"]
+            if name not in graphs:
+                graph, _, _ = load_golden_case(golden_dir() / f"{name}.json")
+                graphs[name] = graph
+            graph = graphs[name]
+            frontiers = doc["frontiers"][name]
+            if case["frontier"] == "forward":
+                x = np.asarray(frontiers["forward"], dtype=np.int32)
+            else:
+                x = np.asarray(frontiers["backward"], dtype=np.float32)
+            kw = {}
+            if case["masked"]:
+                kw["allowed"] = np.asarray(frontiers["allowed"], dtype=bool)[:, None]
+            kernel = case["kernel"]
+            mat = graph.to_cooc() if kernel == "sccooc" else graph.to_csc()
+            suffix = "_spmm" if case["product"] == "gather" else "_spmm_scatter"
+            _, launch = getattr(spmv, kernel + suffix)(Device(), mat, x[:, None], **kw)
+            want = dict(case["stats"], name=case["stats"]["name"].replace("_spmv", "_spmm"))
+            assert dataclasses.asdict(launch.stats) == want, (
+                name, kernel, case["product"], case["frontier"])

@@ -1,4 +1,4 @@
-"""Property-based SpMV tests against scipy."""
+"""Property-based sparse-product tests against scipy, at B = 1 and wider."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 from repro.formats.convert import edges_to_cooc, edges_to_csc
 from repro.gpusim.device import Device
 from repro.spmv import (
-    sccooc_spmv,
-    sccooc_spmv_scatter,
-    sccsc_spmv,
-    sccsc_spmv_scatter,
-    veccsc_spmv,
-    veccsc_spmv_scatter,
+    sccooc_spmm,
+    sccooc_spmm_scatter,
+    sccsc_spmm,
+    sccsc_spmm_scatter,
+    veccsc_spmm,
+    veccsc_spmm_scatter,
 )
 
 settings.register_profile("repro", deadline=None, max_examples=50)
@@ -24,17 +24,18 @@ def matrix_and_vector(draw):
     m = draw(st.integers(min_value=0, max_value=60))
     src = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
     dst = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
-    x = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    B = draw(st.sampled_from([1, 1, 2, 4]))
+    x = draw(st.lists(st.integers(0, 5), min_size=n * B, max_size=n * B))
     return (
         np.asarray(src, dtype=np.int64),
         np.asarray(dst, dtype=np.int64),
         n,
-        np.asarray(x, dtype=np.int64),
+        np.asarray(x, dtype=np.int64).reshape(n, B),
     )
 
 
 def scipy_gather(src, dst, n, x):
-    """A^T x via scipy (self-loops dropped to match canonicalisation)."""
+    """A^T X via scipy (self-loops dropped to match canonicalisation)."""
     from scipy.sparse import coo_array
 
     keep = src != dst
@@ -54,9 +55,9 @@ def test_gather_kernels_match_scipy(mv):
     cooc = edges_to_cooc(src, dst, n)
     csc = edges_to_csc(src, dst, n)
     for y in (
-        sccooc_spmv(dev, cooc, x)[0],
-        sccsc_spmv(dev, csc, x)[0],
-        veccsc_spmv(dev, csc, x)[0],
+        sccooc_spmm(dev, cooc, x)[0],
+        sccsc_spmm(dev, csc, x)[0],
+        veccsc_spmm(dev, csc, x)[0],
     ):
         np.testing.assert_array_equal(y, expected)
 
@@ -69,9 +70,9 @@ def test_scatter_kernels_match_scipy_transpose(mv):
     cooc = edges_to_cooc(src, dst, n)
     csc = edges_to_csc(src, dst, n)
     for y in (
-        sccooc_spmv_scatter(dev, cooc, x)[0],
-        sccsc_spmv_scatter(dev, csc, x)[0],
-        veccsc_spmv_scatter(dev, csc, x)[0],
+        sccooc_spmm_scatter(dev, cooc, x)[0],
+        sccsc_spmm_scatter(dev, csc, x)[0],
+        veccsc_spmm_scatter(dev, csc, x)[0],
     ):
         np.testing.assert_array_equal(y, expected)
 
@@ -79,11 +80,11 @@ def test_scatter_kernels_match_scipy_transpose(mv):
 @given(matrix_and_vector(), st.integers(0, 2**31 - 1))
 def test_masked_kernels_agree_with_each_other(mv, seed):
     src, dst, n, x = mv
-    allowed = np.random.default_rng(seed).random(n) < 0.5
+    allowed = np.random.default_rng(seed).random(x.shape) < 0.5
     dev = Device()
     csc = edges_to_csc(src, dst, n)
-    a, _ = sccsc_spmv(dev, csc, x, allowed=allowed)
-    b, _ = veccsc_spmv(dev, csc, x, allowed=allowed)
+    a, _ = sccsc_spmm(dev, csc, x, allowed=allowed)
+    b, _ = veccsc_spmm(dev, csc, x, allowed=allowed)
     np.testing.assert_array_equal(a, b)
     assert not a[~allowed].any()
 
@@ -94,10 +95,10 @@ def test_stats_are_wellformed(mv):
     src, dst, n, x = mv
     dev = Device()
     csc = edges_to_csc(src, dst, n)
-    _, launch = sccsc_spmv(dev, csc, x)
+    _, launch = sccsc_spmm(dev, csc, x)
     s = launch.stats
     m = csc.nnz
     assert s.warp_cycles >= 0
     assert s.dram_bytes >= 0
     # every stored entry is scanned at most once per pass; generous bound:
-    assert s.warp_cycles <= 32 * (m + n + 32) * 6
+    assert s.warp_cycles <= 32 * (m + n + 32) * 6 * x.shape[1]

@@ -8,7 +8,9 @@ from repro.gpusim import warp as W
 from repro.gpusim.device import Device, DeviceSpec, TITAN_XP
 from repro.gpusim.kernel import KernelStats
 from repro.graphs.graph import Graph
-from repro.spmv import sccooc_spmv, sccsc_spmv, veccsc_spmv
+from repro.spmv import sccooc_spmm, sccsc_spmm, veccsc_spmm
+
+BATCHES = (1, 3)
 
 
 class TestSerialFloors:
@@ -45,21 +47,23 @@ class TestSerialFloors:
         src = np.arange(1, 1001)
         dst = np.zeros(1000, dtype=np.int64)
         g = Graph(src, dst, n, directed=True)
-        x = np.ones(n, dtype=np.int32)
-        _, launch = sccooc_spmv(device, g.to_cooc(), x)
-        assert launch.stats.serial_updates == 1000
+        for B in BATCHES:
+            X = np.ones((n, B), dtype=np.int32)
+            _, launch = sccooc_spmm(device, g.to_cooc(), X)
+            assert launch.stats.serial_updates == 1000
 
     def test_hub_column_carries_critical_path(self, device):
         n = 1100
         src = np.arange(1, 1001)
         dst = np.zeros(1000, dtype=np.int64)
         g = Graph(src, dst, n, directed=True)
-        x = np.ones(n, dtype=np.int32)
-        _, sc = sccsc_spmv(device, g.to_csc(), x)
-        _, ve = veccsc_spmv(device, g.to_csc(), x)
-        # the scalar kernel's slowest warp scans the whole hub column; the
-        # vector kernel splits it over 32 lanes
-        assert sc.stats.critical_warp_cycles > 10 * ve.stats.critical_warp_cycles
+        for B in BATCHES:
+            X = np.ones((n, B), dtype=np.int32)
+            _, sc = sccsc_spmm(device, g.to_csc(), X)
+            _, ve = veccsc_spmm(device, g.to_csc(), X)
+            # the scalar kernel's slowest warp scans the whole hub column;
+            # the vector kernel splits it over 32 lanes
+            assert sc.stats.critical_warp_cycles > 10 * ve.stats.critical_warp_cycles
 
 
 class TestDtypeFactors:
@@ -74,9 +78,10 @@ class TestDtypeFactors:
         src = np.arange(1, 1001)
         dst = np.zeros(1000, dtype=np.int64)
         g = Graph(src, dst, n, directed=True)
-        _, li = sccooc_spmv(device, g.to_cooc(), np.ones(n, dtype=np.int32))
-        _, lf = sccooc_spmv(device, g.to_cooc(), np.ones(n, dtype=np.float64))
-        assert lf.stats.serial_updates == 6 * li.stats.serial_updates
+        for B in BATCHES:
+            _, li = sccooc_spmm(device, g.to_cooc(), np.ones((n, B), dtype=np.int32))
+            _, lf = sccooc_spmm(device, g.to_cooc(), np.ones((n, B), dtype=np.float64))
+            assert lf.stats.serial_updates == 6 * li.stats.serial_updates
 
 
 class TestPressureMiss:
@@ -118,7 +123,8 @@ class TestScaledL2Device:
         from tests.conftest import random_graph
 
         g = random_graph(400, 0.05, directed=True, seed=5)
-        x = rng.integers(0, 3, g.n).astype(np.int32)
-        t_big = sccsc_spmv(Device(), g.to_csc(), x)[1].exec_time_s
-        t_small = sccsc_spmv(Device(DeviceSpec(l2_bytes=256)), g.to_csc(), x)[1].exec_time_s
-        assert t_small >= t_big
+        for B in BATCHES:
+            X = rng.integers(0, 3, (g.n, B)).astype(np.int32)
+            t_big = sccsc_spmm(Device(), g.to_csc(), X)[1].exec_time_s
+            t_small = sccsc_spmm(Device(DeviceSpec(l2_bytes=256)), g.to_csc(), X)[1].exec_time_s
+            assert t_small >= t_big

@@ -224,3 +224,28 @@ class TestB1ReducesToSpMV:
             want = dict(case["stats"], name=case["stats"]["name"].replace("_spmv", "_spmm"))
             assert dataclasses.asdict(launch.stats) == want, (
                 name, kernel, case["product"], case["frontier"])
+
+
+class TestBatchedLaunchStats:
+    """``tests/golden/kernel_stats_b4.json`` pins every field of the
+    ``KernelStats`` of the same 72-case grid at ``B = 4``, with per-lane
+    frontiers and masks (``tests/kernel_stats.py``; ``make
+    bless-kernel-stats`` regenerates it)."""
+
+    def test_b4_launches_match_golden(self):
+        import dataclasses
+        import json
+
+        from tests import kernel_stats as ks
+
+        doc = json.loads(ks.GOLDEN.read_text())
+        assert doc["schema"] == ks.SCHEMA
+        assert len(doc["cases"]) == 72
+        graphs = {name: ks.load_graph(name) for name in ks.GRAPHS}
+        for case in doc["cases"]:
+            key = (case["graph"], case["kernel"], case["product"], case["frontier"])
+            stats = ks.launch_stats(
+                graphs[case["graph"]], *key[1:], case["masked"],
+                doc["frontiers"][case["graph"]],
+            )
+            assert dataclasses.asdict(stats) == case["stats"], key

@@ -961,7 +961,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="multi-GPU task placement (default: cost; only "
                              "with --n-devices > 1)")
     p_perf.add_argument("--no-audit", action="store_true",
-                        help="skip the shadow replays of unchosen strategies "
+                        help="skip measuring the unchosen strategies "
                              "(regret degrades to estimate-only)")
     p_perf.add_argument("--out", metavar="FILE",
                         help="also write the markdown report to FILE")

@@ -13,16 +13,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.dispatch import AdaptiveDispatcher, DIRECTIONS
+from repro.core.dispatch import AdaptiveDispatcher, DIRECTIONS, STRATEGY_KERNELS
 from repro.formats.coo import COOCMatrix
 from repro.formats.csc import CSCMatrix
 from repro.gpusim.device import Device
 from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.memory import DeviceArena
 from repro.obs import telemetry as obs
+from repro.spmv._spmm import gather_product, scatter_product
 from repro.spmv import (
-    edgecsc_spmm,
-    edgecsc_spmm_scatter,
     pullcsc_spmm,
     pullcsc_spmm_scatter,
     sccooc_spmm,
@@ -50,28 +49,20 @@ ALGORITHMS = {
     "adaptive": ("csc", True),
 }
 
-#: Adaptive strategy name -> kernel function, per product shape.
-_ADAPTIVE_SPMM = {
-    "sccooc": edgecsc_spmm,
+#: Static CSC algorithm -> kernel function, per product shape (the
+#: ``sccooc`` algorithm runs over the COOC format and keeps its own
+#: branches below).
+_STATIC_SPMM = {
     "sccsc": sccsc_spmm,
     "veccsc": veccsc_spmm,
     "pullcsc": pullcsc_spmm,
     "tcspmm": tcspmm_spmm,
 }
-_ADAPTIVE_SPMM_SCATTER = {
-    "sccooc": edgecsc_spmm_scatter,
+_STATIC_SPMM_SCATTER = {
     "sccsc": sccsc_spmm_scatter,
     "veccsc": veccsc_spmm_scatter,
     "pullcsc": pullcsc_spmm_scatter,
     "tcspmm": tcspmm_spmm_scatter,
-}
-
-#: Static CSC algorithm -> kernel function, per product shape (the
-#: ``sccooc`` algorithm runs over the COOC format and keeps its own
-#: branches below).
-_STATIC_SPMM = {k: _ADAPTIVE_SPMM[k] for k in ("sccsc", "veccsc", "pullcsc", "tcspmm")}
-_STATIC_SPMM_SCATTER = {
-    k: _ADAPTIVE_SPMM_SCATTER[k] for k in ("sccsc", "veccsc", "pullcsc", "tcspmm")
 }
 
 
@@ -135,12 +126,11 @@ class TurboBCContext:
         self._arena: DeviceArena | None = None
         #: Per-level kernel chooser; only set for ``algorithm="adaptive"``.
         self.dispatcher: AdaptiveDispatcher | None = (
-            AdaptiveDispatcher(self.matrix, device.spec, direction=direction)
+            AdaptiveDispatcher(self.matrix, device.spec, direction=direction,
+                               scatter_backward=graph.directed)
             if algorithm == "adaptive"
             else None
         )
-        #: Lazily-created shadow device for dispatch-audit replays.
-        self._shadow: Device | None = None
 
     # -- per-source array lifecycle -------------------------------------------
     #
@@ -258,44 +248,35 @@ class TurboBCContext:
 
     # -- adaptive launch + dispatch audit -------------------------------------
 
-    def _adaptive_launch(self, table: dict, kernel: str, x, *, allowed=None, tag=""):
+    def _adaptive_launch(self, kernel: str, x, *, allowed=None, scatter=False, tag=""):
         """Launch the chosen adaptive strategy and record its measured time.
 
-        Under ``RunTelemetry(audit_dispatch=True)`` the *unchosen* strategies
-        are then replayed on a private shadow device, so every decision ends
-        up with all three measured times and obs/audit.py can report regret
-        (how often the argmin of the estimates was not the measured-fastest
-        kernel).  The shadow device has its own profiler and telemetry is
-        suppressed around the replays, so the main run's launch counts,
-        modeled times and metrics are untouched -- parity with the
-        un-audited run is preserved.
+        The product is computed once (the numerics are every kernel's), and
+        the chosen kernel's cost formula prices its exact profile.  Under
+        ``RunTelemetry(audit_dispatch=True)`` the *unchosen* candidates'
+        exact profiles are filled from the same product and timed on the
+        device's model without being recorded, so every decision ends up
+        with all candidates' measured times and obs/audit.py can report
+        regret; the run's launches, modeled times and metrics are untouched.
         """
-        kwargs = {"tag": tag} if allowed is None else {"tag": tag, "allowed": allowed}
-        result, launch = table[kernel](self.device, self.matrix, x, **kwargs)
+        csc, device = self.matrix, self.device
+        p = scatter_product(csc, x) if scatter else gather_product(csc, x, allowed)
+        l2 = device.spec.l2_bytes
+
+        def stats(k):
+            kernel = STRATEGY_KERNELS[k]
+            return kernel.cost(kernel.profile(csc, p, l2), device.spec)
+
+        launch = device.launch(stats(kernel), tag=tag)
         self.dispatcher.record_measured(kernel, launch)
         tel = obs.get_telemetry()
         if tel is not None and tel.audit_dispatch:
-            self._audit_replay(table, kernel, x, kwargs)
-        return result, launch
-
-    def _audit_replay(self, table: dict, chosen: str, x, kwargs: dict) -> None:
-        if self._shadow is None:
-            self._shadow = Device(self.device.spec)
-        prev = obs.get_telemetry()
-        obs.deactivate()
-        try:
-            # Replay only the strategies the decision actually estimated: a
-            # forced direction narrows the candidate set, and regret is only
-            # meaningful against candidates the dispatcher could have chosen.
-            candidates = set(self.dispatcher.last.est_us)
-            for kernel, fn in table.items():
-                if kernel == chosen or kernel not in candidates:
-                    continue
-                _, launch = fn(self._shadow, self.matrix, x, **kwargs)
-                self.dispatcher.record_measured(kernel, launch)
-        finally:
-            if prev is not None:
-                obs.activate(prev)
+            # only the candidates the decision priced: a forced direction
+            # narrows the set, and regret is measured against it
+            for other in self.dispatcher.last.est_us:
+                if other != kernel:
+                    self.dispatcher.record_measured(other, device.model(stats(other)))
+        return p.Y, launch
 
     # -- SpMM dispatch --------------------------------------------------------
 
@@ -313,9 +294,7 @@ class TurboBCContext:
         allowed = (Sigma == 0) & active[None, :]
         if self.algorithm == "adaptive":
             kernel = self.dispatcher.choose_forward_batch(X, allowed)
-            return self._adaptive_launch(
-                _ADAPTIVE_SPMM, kernel, X, allowed=allowed, tag=tag
-            )
+            return self._adaptive_launch(kernel, X, allowed=allowed, tag=tag)
         return _STATIC_SPMM[self.algorithm](
             self.device, self.matrix, X, allowed=allowed, tag=tag
         )
@@ -331,8 +310,7 @@ class TurboBCContext:
         """
         if self.algorithm == "adaptive":
             kernel = self.dispatcher.choose_backward_batch(X)
-            table = _ADAPTIVE_SPMM_SCATTER if self.graph.directed else _ADAPTIVE_SPMM
-            return self._adaptive_launch(table, kernel, X, tag=tag)
+            return self._adaptive_launch(kernel, X, scatter=self.graph.directed, tag=tag)
         if self.graph.directed:
             if self.algorithm == "sccooc":
                 return sccooc_spmm_scatter(self.device, self.matrix, X, tag=tag)

@@ -6,19 +6,38 @@ sparse early/late frontiers favour the thread-per-edge strategy, the dense
 middle levels favour the column kernels, and a single undiscovered hub
 column can stall scCSC's critical path by milliseconds while leaving the
 other kernels untouched.  :class:`AdaptiveDispatcher` therefore re-picks
-the kernel *every level*, for both stages, from cheap frontier statistics:
+the kernel *every level*, for both stages, from cheap frontier statistics
+(:class:`LevelStats`): the frontier's nnz and degree mass, the degree mass,
+line/strip counts and maximum degree of the columns the kernels process,
+and the active tiles of the cached tile directory.  All of these are
+single O(n + tiles) reductions -- on real hardware one tiny kernel per
+level, negligible next to the SpMM itself.
 
-* ``nnz(frontier)`` and the frontier fraction ``nnz / n``;
-* the degree mass of the active columns (average and maximum degree);
-* the degree mass and maximum degree of the *allowed* (undiscovered)
-  columns, which is what the masked column kernels actually scan.
+The dispatcher holds no cost formula of its own.  It fills one shared
+*expected* :class:`~repro.spmv.Profile` per level -- threads are the
+processed columns, scanning their entries -- which each candidate kernel's
+``expected`` maps onto its own fields (beside its exact ``profile``), and
+prices each with that kernel's cost formula (for the level's gather, or a
+digraph's backward scatter) and the device roofline
+(:func:`~repro.gpusim.device.model_launch`) -- the functions the launch
+runs on its exact profile -- then launches the argmin.  An estimate misses
+the measured time only where an expected count misses the exact one, and
+this module keeps only the expectation terms:
 
-All of these are single reductions over precomputed degree arrays -- on
-real hardware they cost one tiny kernel per level, negligible next to the
-SpMV itself.  From the statistics the dispatcher evaluates a closed-form
-cost estimate per kernel strategy, mirroring the dominant terms of each
-kernel's hardware model (issue cycles, DRAM transactions, the critical
-warp path and the same-address atomic chain), and launches the argmin.
+* contributing entries from degree mass: an allowed entry's source is in
+  the frontier with probability ``e_active / m``, and the longest atomic
+  chain is the largest processed column's share;
+* a column of degree ``d`` has a frontier neighbour with probability
+  ``1 - (1 - p)^d`` (``p`` the frontier density), which gives the
+  expected written rows (pull's geometric first-hit probes, the same
+  density's ``~1 / p``, sit beside its exact count in
+  :mod:`repro.spmv.pullcsc`);
+* the divergence inflation: a warp retires at its slowest lane, so the
+  thread-per-index kernels' warp sums run :data:`DIVERGENCE` times the
+  mean; the critical thread is the largest processed degree;
+* every processed index is charged the level's mean lanes per index,
+  and the index-dependent gathers and atomics their entry share of the
+  matrix's cached full-pass transaction counts (which carry its locality).
 
 Decisions are recorded as :class:`DispatchDecision` rows and annotated on
 the per-level ``obs`` spans, so a trace shows exactly which kernel served
@@ -38,17 +57,16 @@ import numpy as np
 
 from repro.formats.csc import CSCMatrix
 from repro.gpusim import warp as W
-from repro.gpusim.device import DeviceSpec
-from repro.spmv._spmm import any_lane
-from repro.spmv.edgecsc import lookup_cycles
-from repro.spmv import sccsc as _sccsc
-from repro.spmv import veccsc as _veccsc
-from repro.spmv import edgecsc as _edgecsc
-from repro.spmv import pullcsc as _pullcsc
-from repro.spmv import tcspmm as _tcspmm
+from repro.gpusim.device import DeviceSpec, model_launch
+from repro.spmv import Profile, any_lane, edgecsc, pullcsc, sccsc, tcspmm, veccsc
+from repro.spmv.tcspmm import stripe_any, tile_stats
 
-#: Kernel strategies the dispatcher switches between.
-STRATEGIES = ("sccooc", "sccsc", "veccsc", "pullcsc", "tcspmm")
+#: Kernel strategies the dispatcher switches between, each with its kernel
+#: module over the stored CSC (``sccooc`` is the thread-per-edge strategy):
+#: the module's exact ``profile`` fill and its one ``cost`` formula.
+STRATEGY_KERNELS = {"sccooc": edgecsc, "sccsc": sccsc, "veccsc": veccsc,
+                    "pullcsc": pullcsc, "tcspmm": tcspmm}
+STRATEGIES = tuple(STRATEGY_KERNELS)
 
 #: Traversal direction of each strategy: the warp kernels iterate from the
 #: frontier side gathering values (push); ``pullcsc`` probes the frontier
@@ -65,10 +83,32 @@ DIRECTION = {
 #: Valid values of the ``direction`` override on the dispatcher / driver.
 DIRECTIONS = ("auto", "push", "pull")
 
-#: Divergence inflation applied to scCSC's mean per-entry issue cost: a warp
-#: retires at its slowest lane, so the aggregate runs above the mean even on
-#: near-uniform degrees (calibrated against the simulated kernel models).
-_SCCSC_DIVERGENCE = 2.0
+#: Expected ratio of a warp's slowest-lane work to its mean lane work for
+#: the thread-per-index kernels: a warp retires at its slowest lane, so the
+#: aggregate runs above the mean even on near-uniform degrees.
+DIVERGENCE = 2.0
+
+
+@dataclass(frozen=True)
+class LevelStats:
+    """The reductions one decision takes over a level's frontier (the
+    multi-GPU scheduler fills them from per-component signals).  The
+    processed columns are a gather's allowed ones (all when unmasked) and a
+    scatter's positive-lane ones, every entry of which contributes."""
+
+    scatter: bool
+    masked: bool
+    batch: int
+    dtype: np.dtype
+    nnz_x: int       # frontier indices with a positive lane
+    e_active: int    # stored entries whose frontier index is positive
+    n_proc: int      # processed columns
+    slots: int       # their (column, lane) slots: allowed, or positive lanes
+    s_proc: int      # their stored entries
+    lines: int       # their sum of ceil(degree / 8): row_A line fills
+    strips: int      # their sum of ceil(degree / 32): warp strips
+    dmax: int        # their largest degree
+    tiles: dict = field(default_factory=dict)  # tcspmm.tile_stats fields
 
 
 @dataclass(frozen=True)
@@ -93,9 +133,10 @@ class DispatchDecision:
     est_us: dict = field(default_factory=dict)   # strategy -> estimated µs
     #: Measured modeled time per strategy, in µs.  The chosen kernel's entry
     #: is filled on every adaptive launch; the others only under
-    #: ``RunTelemetry(audit_dispatch=True)``, which replays them on a shadow
-    #: device (obs/audit.py turns the gap into a regret report).  Mutable by
-    #: design -- the decision identity is the frozen statistics above.
+    #: ``RunTelemetry(audit_dispatch=True)``, which prices their exact
+    #: profiles from the launch's product (obs/audit.py turns the gap into a
+    #: regret report).  Mutable by design -- the decision identity is the
+    #: frozen statistics above.
     measured_us: dict = field(default_factory=dict, compare=False)
 
     def span_attrs(self) -> dict:
@@ -116,9 +157,14 @@ class DispatchDecision:
 
 
 class AdaptiveDispatcher:
-    """Chooses a kernel strategy per SpMM launch from frontier stats."""
+    """Chooses a kernel strategy per SpMM launch from frontier stats.
 
-    def __init__(self, csc: CSCMatrix, spec: DeviceSpec, *, direction: str = "auto"):
+    ``scatter_backward`` says the backward stage runs the scatter product
+    (digraphs), so its candidates are priced by their scatter costs.
+    """
+
+    def __init__(self, csc: CSCMatrix, spec: DeviceSpec, *, direction: str = "auto",
+                 scatter_backward: bool = False):
         if direction not in DIRECTIONS:
             raise ValueError(
                 f"unknown direction {direction!r}; expected one of {DIRECTIONS}"
@@ -126,281 +172,135 @@ class AdaptiveDispatcher:
         self.csc = csc
         self.spec = spec
         self.direction = direction
+        self.scatter_backward = scatter_backward
         self.n = csc.n_cols
         self.m = csc.nnz
-        self.deg = csc.column_counts().astype(np.int64)
+        self.deg = csc.column_counts()
+        self.all_columns = self._column_sums(self.deg)
         self.rowdeg = csc.row_counts()
+        self.rowdeg_max = int(self.rowdeg.max()) if self.rowdeg.size else 0
         self.decisions: list[DispatchDecision] = []
         self.last: DispatchDecision | None = None
 
-    def _tile_stats(
-        self, active_rows: np.ndarray, allowed: np.ndarray | None
-    ) -> tuple[int, int, int]:
-        """Exact active-tile statistics for the blocked-kernel estimate.
+    # -- level statistics and pricing ------------------------------------------
 
-        Returns ``(tiles_active, nnz_active, chain)``: occupied 16x16 tiles
-        whose column stripe has an allowed column *and* whose row stripe has
-        a frontier entry, their stored-entry total, and the longest
-        output-stripe commit chain.  One O(n + tiles) reduction over the
-        cached tile directory -- same order as the degree reductions the
-        push estimates already pay.
-        """
-        t_row, t_col, t_cnt = self.csc.tile_plan(W.MMA_TILE)
-        if t_row.size == 0:
-            return 0, 0, 0
-        row_ok = _tcspmm.stripe_any(active_rows)
-        col_ok = (
-            _tcspmm.stripe_any(allowed)
-            if allowed is not None
-            else np.ones(-(-self.n // W.MMA_TILE), dtype=bool)
-        )
-        active = col_ok[t_col] & row_ok[t_row]
-        n_active = int(np.count_nonzero(active))
-        if not n_active:
-            return 0, 0, 0
-        nnz_active = int(t_cnt[active].sum())
-        chain = int(np.bincount(t_col[active]).max())
-        return n_active, nnz_active, chain
+    @staticmethod
+    def _column_sums(deg: np.ndarray) -> tuple:
+        """``(entries, line fills, strips, largest degree)`` of columns with
+        degrees ``deg`` (zero for the columns not processed): line fills are
+        ``ceil(d / 8)``, warp strips ``ceil(d / 32)``."""
+        if not deg.size:
+            return 0, 0, 0, 0
+        return (int(deg.sum()), int(((deg + 7) >> 3).sum()),
+                int(((deg + 31) >> 5).sum()), int(deg.max()))
 
-    # -- cost estimation -----------------------------------------------------
-
-    def _estimate(
-        self,
-        *,
-        nnz_x: int,
-        e_active: int,
-        s_allowed: int,
-        n_allowed: int,
-        max_deg_allowed: int,
-        dtype,
-        batch: int = 1,
-        tiles_active: int = 0,
-        tile_nnz_active: int = 0,
-        tile_chain: int = 0,
-    ) -> dict[str, float]:
-        """Closed-form time estimate (seconds) per kernel strategy.
-
-        Mirrors the dominant terms of each kernel's hardware model: issue
-        cycles / warp-issue rate, DRAM transactions / bandwidth, the two
-        latency floors (critical warp path, same-address atomic chain) and,
-        for the tensor-core strategy, the MMA-pipe busy time.  Strategies
-        excluded by a forced ``direction`` are not estimated (and so never
-        chosen, measured or audited).
-        """
-        spec = self.spec
-        n, m = self.n, self.m
-        issue = spec.warp_issue_rate
-        bw = spec.dram_bandwidth_gbs * 1e9
-        clk = spec.clock_ghz * 1e9
-        l2 = spec.l2_bytes
-        dt = np.dtype(dtype)
-        dtf = W.dtype_cycle_factor(dt)
-        item = dt.itemsize
-        B = max(1, batch)
-        p = nnz_x / max(n, 1)
-        avg_deg = self.m / max(self.n, 1)
-        # Contributions: entries in an allowed column whose source is active.
-        contrib = min(e_active, s_allowed, int(s_allowed * e_active / max(m, 1)) + 1)
-        txn = W.TRANSACTION_BYTES
-
-        est: dict[str, float] = {}
-
-        # -- sccooc strategy (thread per edge over CSC, fused mask) ----------
-        look = lookup_cycles(n)
-        run = min(avg_deg * p, 31.0)  # expected same-column run per warp
-        compute = (
-            W.uniform_warp_cycles(m, _edgecsc._BASE_CYCLES + look)
-            + W.warp_count(contrib * B) * _edgecsc._ACTIVE_CYCLES * dtf
-            + 2.0 * W.warp_count(contrib) * run * dtf
-        ) / issue
-        mem_txn = (
-            W.coalesced_transactions(m)
-            + W.capped_random_transactions(m, n + 1, 4, l2_bytes=l2)
-            + W.capped_random_transactions(s_allowed, n, item, l2_bytes=l2) * B
-            + W.capped_random_transactions(contrib, n, item, l2_bytes=l2) * B
-        )
-        # Expected longest same-address atomic chain: the biggest allowed
-        # column's expected number of active sources.
-        ser_updates = max_deg_allowed * p * B
-        serial = max(
-            ser_updates * spec.atomic_serialization_s,
-            (_edgecsc._BASE_CYCLES + look + _edgecsc._ACTIVE_CYCLES * B) / clk,
-        )
-        est["sccooc"] = max(compute, mem_txn * txn / bw, serial)
-
-        # -- sccsc strategy (thread per column, fused mask) ------------------
-        compute = (
-            W.uniform_warp_cycles(n, _sccsc._BASE_CYCLES)
-            + (s_allowed * _sccsc._CYCLES_PER_ENTRY * dtf * B * _SCCSC_DIVERGENCE)
-            / W.WARP_SIZE
-        ) / issue
-        mem_txn = (
-            2 * W.coalesced_transactions(n)
-            + (s_allowed + 7) // 8
-            + W.scalar_gather_transactions(s_allowed, n, item, l2_bytes=l2) * B
-        )
-        serial = (
-            max_deg_allowed
-            * (_sccsc._CRITICAL_CYCLES_PER_ENTRY + (B - 1))
-            * dtf
-            / clk
-        )
-        est["sccsc"] = max(compute, mem_txn * txn / bw, serial)
-
-        # -- veccsc strategy (warp per column) -------------------------------
-        strips = s_allowed / W.WARP_SIZE + n_allowed
-        compute = (
-            n * _veccsc._BASE_CYCLES
-            + strips * (_veccsc._CYCLES_PER_STRIP + (B - 1)) * dtf
-            + n_allowed * _veccsc._SHUFFLE_CYCLES * dtf * B
-        ) / issue
-        mem_txn = (
-            2 * W.coalesced_transactions(n)
-            + (s_allowed + 7) // 8
-            + n_allowed
-            + W.capped_random_transactions(s_allowed, n, item, l2_bytes=l2) * B
-        )
-        serial = (
-            -(-max_deg_allowed // W.WARP_SIZE)
-            * 4
-            * (_veccsc._CYCLES_PER_STRIP + (B - 1))
-            * dtf
-            / clk
-        )
-        est["veccsc"] = max(compute, mem_txn * txn / bw, serial)
-
-        # -- pullcsc strategy (bottom-up, bitmap probes + early exit) --------
-        # Expected phase-1 probes per allowed column: the first frontier
-        # parent sits ~1/p entries into the scan (geometric), capped by the
-        # column's expected degree; undiscovered columns scan fully either
-        # way, and the discovered fraction re-scans in phase 2.
-        avg_deg_allowed = s_allowed / max(n_allowed, 1)
-        p_row = nnz_x / max(n, 1)
-        if p_row > 0.0 and avg_deg_allowed > 0.0:
-            probes1 = n_allowed * min(avg_deg_allowed, 1.0 / p_row)
-            disc_cols = n_allowed * -np.expm1(
-                avg_deg_allowed * np.log1p(-min(p_row, 1.0 - 1e-12))
-            )
+    def level_stats(self, X: np.ndarray, allowed: np.ndarray | None = None, *,
+                    scatter: bool = False) -> LevelStats:
+        """The O(n + tiles) reductions of one level: ``X`` the frontier,
+        ``allowed`` a gather's per-(column, lane) mask."""
+        positive = X > 0
+        active = any_lane(positive)
+        nnz_x = int(np.count_nonzero(active))
+        proc = active if scatter else None if allowed is None else any_lane(allowed)
+        if proc is None:
+            n_proc, (s_proc, lines, strips, dmax) = self.n, self.all_columns
         else:
-            probes1 = float(s_allowed)
-            disc_cols = 0.0
-        total_probes = probes1 + disc_cols * avg_deg_allowed
-        bitmap_words = -(-n * B // 32)
-        compute = (
-            W.uniform_warp_cycles(n * B, _pullcsc._BITMAP_BUILD_CYCLES)
-            + W.uniform_warp_cycles(n, _pullcsc._BASE_CYCLES)
-            + (
-                total_probes * _pullcsc._PROBE_CYCLES
-                + contrib * B * _pullcsc._GATHER_CYCLES * dtf
-            )
-            * _SCCSC_DIVERGENCE
-            / W.WARP_SIZE
-        ) / issue
-        mem_txn = (
-            2 * W.coalesced_transactions(n)
-            + W.coalesced_transactions(n * B, item)
-            + 2 * W.coalesced_transactions(bitmap_words)
-            + int(total_probes + 7) // 8
-            + W.capped_random_transactions(int(total_probes), bitmap_words, 4,
-                                           l2_bytes=l2)
-            + W.bwide_gather_transactions(contrib, B, n, item, l2_bytes=l2)
-        )
-        # Critical path: the slowest lane probes its whole column and then
-        # gathers its expected active entries (deg * p) across all B lanes
-        # at full gather latency -- on a dense frontier this, not the probe
-        # loop, is what the pull kernel's exec time degenerates to.
-        serial = (
-            max_deg_allowed
-            * (
-                _pullcsc._CRITICAL_PROBE_CYCLES
-                + min(p_row, 1.0) * B * _pullcsc._CRITICAL_GATHER_CYCLES * dtf
-                + (B - 1)
-            )
-            / clk
-        )
-        est["pullcsc"] = max(compute, mem_txn * txn / bw, serial)
-
-        # -- tcspmm strategy (blocked tensor-core SpMM) ----------------------
-        # Exact active-tile statistics come from the cached tile directory;
-        # the MMA arm is the dense-flop cost of feeding every active tile.
-        mma_per_tile = -(-B // W.MMA_TILE)
-        mma_t = (
-            W.mma_ops_for_tiles(tiles_active, B)
-            * W.MMA_FLOPS_PER_OP
-            / (spec.mma_tflops * 1e12)
-        )
-        compute = (
-            tiles_active
-            * (_tcspmm._TILE_BASE_CYCLES + mma_per_tile * _tcspmm._MMA_ISSUE_CYCLES)
-            + tile_nnz_active * _tcspmm._DECODE_CYCLES
-        ) / issue
-        n_tiles = self.csc.tile_plan(W.MMA_TILE)[0].size
-        mem_txn = (
-            W.coalesced_transactions(3 * n_tiles)
-            + W.coalesced_transactions(tile_nnz_active)
-            + W.bwide_gather_transactions(tiles_active * W.MMA_TILE, B, n, item,
-                                          l2_bytes=l2)
-            + W.coalesced_transactions(n * B)
-        )
-        serial = (
-            tile_chain
-            * (_tcspmm._TILE_BASE_CYCLES + mma_per_tile * _tcspmm._MMA_ISSUE_CYCLES)
-            / clk
-        )
-        est["tcspmm"] = max(compute, mem_txn * txn / bw, mma_t, serial)
-
-        if self.direction != "auto":
-            est = {k: v for k, v in est.items() if DIRECTION[k] == self.direction}
-        return est
-
-    def _decide(
-        self,
-        stage: str,
-        depth: int,
-        *,
-        active_rows: np.ndarray,
-        allowed: np.ndarray | None,
-        dtype,
-        batch: int = 1,
-    ) -> DispatchDecision:
-        nnz_x = int(np.count_nonzero(active_rows))
-        e_active = int(self.rowdeg[active_rows].sum()) if nnz_x else 0
-        if allowed is None:
-            s_allowed = self.m
-            n_allowed = self.n
-            dmax = int(self.deg.max()) if self.n else 0
+            n_proc = int(np.count_nonzero(proc))
+            s_proc, lines, strips, dmax = self._column_sums(self.deg * proc)
+        B = X.shape[1]
+        slots = (n_proc * B if B == 1 or proc is None
+                 else int(np.count_nonzero(positive if scatter else allowed)))
+        n_stripes = -(-self.n // W.MMA_TILE)
+        if scatter:
+            e_active = s_proc
+            tiles = tile_stats(self.csc, np.ones(n_stripes, dtype=bool),
+                               stripe_any(active), "row")
         else:
-            deg_allowed = self.deg[allowed]
-            s_allowed = int(deg_allowed.sum())
-            n_allowed = int(deg_allowed.size)
-            dmax = int(deg_allowed.max()) if deg_allowed.size else 0
-        tiles_active, tile_nnz_active, tile_chain = self._tile_stats(
-            active_rows, allowed
+            e_active = int(self.rowdeg[active].sum()) if nnz_x else 0
+            col_ok = np.ones(n_stripes, dtype=bool) if proc is None else stripe_any(proc)
+            tiles = tile_stats(self.csc, stripe_any(active), col_ok, "col")
+        return LevelStats(
+            scatter=scatter, masked=allowed is not None, batch=B, dtype=X.dtype,
+            nnz_x=nnz_x, e_active=e_active, n_proc=n_proc, slots=slots,
+            s_proc=s_proc, lines=lines, strips=strips, dmax=dmax, tiles=tiles,
         )
-        est = self._estimate(
-            nnz_x=nnz_x,
-            e_active=e_active,
-            s_allowed=s_allowed,
-            n_allowed=n_allowed,
-            max_deg_allowed=dmax,
-            dtype=dtype,
-            batch=batch,
-            tiles_active=tiles_active,
-            tile_nnz_active=tile_nnz_active,
-            tile_chain=tile_chain,
+
+    def expected_profiles(self, lv: LevelStats) -> dict[str, Profile]:
+        """One expected :class:`~repro.spmv.Profile` per candidate strategy:
+        the shared fill of the module docstring's expectation terms, mapped
+        by each kernel's ``expected``."""
+        n, m, B, t, s, dmax = self.n, self.m, lv.batch, lv.n_proc, lv.s_proc, lv.dmax
+        L = lv.slots / max(t, 1)  # mean lanes per processed index
+        l2, item = self.spec.l2_bytes, lv.dtype.itemsize
+        p = min(lv.nnz_x / max(n, 1), 1.0 - 1e-12)  # frontier density
+
+        def reached(n_idx, deg):
+            """Expected indices of degree ``deg`` with a frontier neighbour."""
+            return n_idx * -np.expm1(deg * np.log1p(-p))
+
+        if lv.scatter:
+            # every entry of an active column contributes to its row
+            contrib, written, chain = s, reached(n, m / max(n, 1)), self.rowdeg_max * p
+        else:
+            contrib = min(lv.e_active, s, s * lv.e_active / max(m, 1) + 1)
+            written, chain = reached(t, s / max(t, 1)), dmax * p
+
+        def share(count, columns=False):
+            """Transactions of ``count`` entries' B-wide accesses at their
+            rows (or columns): their share of the cached full pass."""
+            return self.csc.full_gather_transactions(
+                item, lanes=B, columns=columns, l2_bytes=l2) * count / max(m, 1)
+
+        # the shared fill: threads are the processed columns scanning their
+        # entries; each kernel's ``expected`` maps it onto its own fields
+        base = Profile(
+            n_cols=n, n_rows=n, nnz=m, B=B, dtype=lv.dtype, out_dtype=lv.dtype,
+            scatter=lv.scatter, masked=lv.masked, scanned=s, lines=lv.lines,
+            active_threads=t,
+            lanes=lv.slots, frontier_slots=lv.nnz_x * B, lane_entries=s * L,
+            contrib=contrib, lane_hits=contrib * L, written=written, chain=chain,
+            warp_entries=DIVERGENCE * s / W.WARP_SIZE,
+            warp_lane_entries=DIVERGENCE * s * L / W.WARP_SIZE,
+            crit_entries=dmax, crit_lane_entries=dmax * L,
+            gather_txn=share(s),
+            store_txn=share(contrib, columns=not lv.scatter),
+            # a gather's atomics run along one column's contributing entries
+            conflicts=0 if lv.scatter
+            else 2 * W.warp_count(contrib) * min(m / max(n, 1) * p, 31.0),
+            **lv.tiles,
         )
+        return {k: mod.expected(self.csc, base, lv, divergence=DIVERGENCE, l2_bytes=l2)
+                for k, mod in STRATEGY_KERNELS.items()
+                if self.direction == "auto" or DIRECTION[k] == self.direction}
+
+    def price(self, lv: LevelStats) -> dict[str, float]:
+        """Estimated in-kernel seconds per candidate at a level."""
+        return self.price_profiles(self.expected_profiles(lv))
+
+    def price_profiles(self, profiles: dict) -> dict[str, float]:
+        """In-kernel seconds of ``{strategy: profile}``: each strategy's own
+        cost formula and the device roofline -- for an exact profile, the
+        ``exec_time_s`` its launch reports."""
+        return {
+            k: model_launch(STRATEGY_KERNELS[k].cost(q, self.spec),
+                            self.spec).exec_time_s
+            for k, q in profiles.items()
+        }
+
+    def _decide(self, stage: str, lv: LevelStats) -> DispatchDecision:
+        est = self.price(lv)
         kernel = min(est, key=est.get)
         decision = DispatchDecision(
             stage=stage,
-            depth=depth,
+            depth=self._next_depth(stage),
             kernel=kernel,
-            nnz_frontier=nnz_x,
-            frontier_frac=nnz_x / max(self.n, 1),
-            avg_deg_active=e_active / max(nnz_x, 1),
-            max_deg_allowed=dmax,
-            batch=batch,
+            nnz_frontier=lv.nnz_x,
+            frontier_frac=lv.nnz_x / max(self.n, 1),
+            avg_deg_active=lv.e_active / max(lv.nnz_x, 1),
+            max_deg_allowed=lv.dmax,
+            batch=lv.batch,
             direction=DIRECTION[kernel],
-            unvisited_frac=n_allowed / max(self.n, 1),
+            unvisited_frac=1.0 if lv.scatter else lv.n_proc / max(self.n, 1),
             est_us={k: round(v * 1e6, 3) for k, v in est.items()},
         )
         self.decisions.append(decision)
@@ -411,22 +311,12 @@ class AdaptiveDispatcher:
 
     def choose_forward_batch(self, X: np.ndarray, allowed: np.ndarray) -> str:
         """Kernel for a forward-stage masked gather ``Ft = A^T F``."""
-        return self._decide(
-            "forward", self._next_depth("forward"),
-            active_rows=any_lane(X > 0),
-            allowed=any_lane(allowed),
-            dtype=X.dtype,
-            batch=X.shape[1],
-        ).kernel
+        return self._decide("forward", self.level_stats(X, allowed)).kernel
 
     def choose_backward_batch(self, X: np.ndarray) -> str:
         """Kernel for a backward-stage unmasked product (gather or scatter)."""
         return self._decide(
-            "backward", self._next_depth("backward"),
-            active_rows=any_lane(X > 0),
-            allowed=None,
-            dtype=X.dtype,
-            batch=X.shape[1],
+            "backward", self.level_stats(X, scatter=self.scatter_backward)
         ).kernel
 
     # The benchmark's traced run wraps these two names (perfbench/spans.py);

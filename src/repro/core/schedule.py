@@ -7,23 +7,22 @@ blind to per-source cost: sources in a large component traverse thousands
 of edges over many levels while sources in a fragment finish in one, and a
 round-robin deal can pile every expensive source onto one device.
 
-This module supplies the placement.  Per-task costs come from the *same
-closed-form per-kernel cost terms the adaptive dispatcher trusts*
-(:meth:`~repro.core.dispatch.AdaptiveDispatcher._estimate`), evaluated on
-cheap per-component structural signals:
-
-* one weak-connected-components pass labels every vertex (O(n + m));
-* one multi-source BFS from the component representatives bounds each
-  component's traversal depth (O(m * diameter), vectorised);
-* a source's characteristic level then has ``comp_n / levels`` frontier
-  rows and ``comp_m / levels`` active edges against its component's
-  column mass, which is exactly the statistics shape the dispatcher's
-  estimator consumes.
-
-A task is charged two stages (forward + backward) of ``levels`` traversal
-steps, each one kernel estimate plus the fixed per-level launch/readback
-overhead -- the deep-BFS regime where overhead dominates falls out of the
-same terms the roofline attributes it to.
+This module supplies the placement.  Per-task costs are the kernels' own
+cost formulas, priced as the adaptive dispatcher prices a level
+(:meth:`~repro.core.dispatch.AdaptiveDispatcher.price`) over
+:class:`~repro.core.dispatch.LevelStats` filled from cheap per-component
+signals: a weak-components pass (O(n + m)), one multi-source BFS from the
+component representatives bounding each component's depth (O(m *
+diameter), vectorised), per-component column sums and the component's
+share of the tile directory (the tiles whose row and column stripes hold
+its vertices).  A source's characteristic level has ``comp_n / levels``
+frontier rows and ``comp_m / levels`` active entries against its
+component's columns -- every column allowed, every tile active.  A task is
+charged ``levels`` steps of a forward product (the masked gather), a
+backward one (the unmasked gather, or the scatter on digraphs) and the
+fixed per-level launch/readback overhead -- the deep-BFS regime where
+overhead dominates falls out of the same terms the roofline attributes it
+to.
 
 The scheduler itself is the estee-style list scheduler: tasks in
 longest-processing-time order, each placed on the device minimising the
@@ -40,12 +39,14 @@ determinism tests and the resumable audit rely on.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.graphs.graph import Graph
 from repro.gpusim.device import DeviceSpec
+from repro.spmv.tcspmm import stripe_any, tile_stats
 
 #: Placement policies ``multi_gpu_bc`` accepts: the communication-aware
 #: cost-model scheduler, and the static deal it replaced (kept as the
@@ -84,19 +85,19 @@ def partition_sources(src_list, batch: int) -> list:
 
 
 def _component_stats(graph: Graph):
-    """Weak components + per-component size/edge/degree/depth signals.
+    """Weak components + per-component size and depth signals.
 
-    Returns ``(labels, comp_n, comp_m, comp_maxdeg, comp_levels)`` where
-    ``comp_levels`` bounds the BFS level count of a traversal inside the
-    component (depth from the component representative, plus the root
-    level).  Directed graphs use weak connectivity -- forward reachability
-    is a subset, so the estimate errs toward the full component, which is
-    the safe direction for load balancing.
+    Returns ``(labels, comp_n, comp_levels)`` where ``comp_levels`` bounds
+    the BFS level count of a traversal inside the component (depth from the
+    component representative, plus the root level).  Directed graphs use
+    weak connectivity -- forward reachability is a subset, so the estimate
+    errs toward the full component, which is the safe direction for load
+    balancing.
     """
     n = graph.n
     if n == 0:
         z = np.zeros(0, dtype=np.int64)
-        return z, z, z, z, z
+        return z, z, z
     from scipy.sparse.csgraph import connected_components
 
     adj = graph.to_scipy_csc()
@@ -104,13 +105,6 @@ def _component_stats(graph: Graph):
         adj, directed=graph.directed, connection="weak"
     )
     comp_n = np.bincount(labels, minlength=ncomp).astype(np.int64)
-    if graph.m:
-        comp_m = np.bincount(labels[graph.src], minlength=ncomp).astype(np.int64)
-    else:
-        comp_m = np.zeros(ncomp, dtype=np.int64)
-    deg = np.maximum(graph.out_degree(), graph.in_degree()).astype(np.int64)
-    comp_maxdeg = np.zeros(ncomp, dtype=np.int64)
-    np.maximum.at(comp_maxdeg, labels, deg)
 
     # Depth bound: one multi-source BFS from every component representative
     # at once over the undirected adjacency -- O(m) per level, all
@@ -134,7 +128,7 @@ def _component_stats(graph: Graph):
     comp_depth = np.zeros(ncomp, dtype=np.int64)
     np.maximum.at(comp_depth, labels, level)
     comp_levels = comp_depth + 1  # + the root level
-    return labels, comp_n, comp_m, comp_maxdeg, comp_levels
+    return labels, comp_n, comp_levels
 
 
 def estimate_task_costs(
@@ -146,55 +140,70 @@ def estimate_task_costs(
     batch: int = 1,
     forward_dtype=np.int32,
 ) -> list:
-    """Closed-form modeled cost per task, reusing the dispatcher's terms.
+    """Closed-form modeled cost per task, priced by the kernels' cost formulas.
 
-    Each task is charged ``2 stages x traversal levels x (kernel estimate +
-    per-level launch/readback overhead)``, with the kernel estimate taken
-    from :meth:`AdaptiveDispatcher._estimate` on the task's dominant
-    component's characteristic level.  ``algorithm`` picks which strategy's
-    estimate to charge; ``"adaptive"`` (and the blocked tensor-core kernel,
-    whose estimate needs live tile statistics the static signals cannot
-    supply) charge the cheapest warp-kernel strategy instead.
+    Each task is charged ``traversal levels x (forward + backward product
+    + per-level launch/readback overhead of both stages)``, the products
+    priced by :meth:`AdaptiveDispatcher.price` at the task's dominant
+    component's characteristic level.  ``algorithm`` picks which
+    strategy's price to charge; ``"adaptive"`` charges the cheapest
+    strategy per product, as the dispatcher would choose.
     """
     if not chunks:
         return []
-    from repro.core.dispatch import AdaptiveDispatcher
+    from repro.core.dispatch import AdaptiveDispatcher, LevelStats
 
-    labels, comp_n, comp_m, comp_maxdeg, comp_levels = _component_stats(graph)
-    disp = AdaptiveDispatcher(graph.to_csc(), spec)
-    per_level_overhead = (
+    csc = graph.to_csc()
+    labels, comp_n, comp_levels = _component_stats(graph)
+    disp = AdaptiveDispatcher(csc, spec)
+    ncomp = comp_n.size
+    # per component: column degree, line-fill and strip sums, largest degree
+    deg = disp.deg
+    comp_cols = np.stack([np.bincount(labels, weights=c, minlength=ncomp)
+                          for c in (deg, (deg + 7) >> 3, (deg + 31) >> 5)]).astype(np.int64)
+    comp_dmax = np.zeros(ncomp, dtype=np.int64)
+    np.maximum.at(comp_dmax, labels, deg)
+    per_level_overhead = 2 * (
         _LAUNCHES_PER_LEVEL * spec.kernel_launch_overhead_us * 1e-6
         + spec.sync_readback_us * 1e-6
     )
 
-    cache: dict = {}  # (component, lanes) -> per-level kernel estimate (s)
+    def charge(prices: dict) -> float:
+        return prices[algorithm] if algorithm in prices else min(prices.values())
+
+    cache: dict = {}  # (component, lanes) -> per-level product cost (s)
     tasks: list[SourceTask] = []
     for idx, chunk in enumerate(chunks):
         comps = labels[np.asarray(chunk, dtype=np.int64)]
-        dom = int(comps[int(np.argmax(comp_m[comps]))])
+        dom = int(comps[int(np.argmax(comp_cols[0][comps]))])
         levels = max(int(comp_levels[comps].max()) - 1, 1)
         lanes = min(max(len(chunk), 1), max(batch, 1))
         key = (dom, lanes)
         per_level = cache.get(key)
         if per_level is None:
-            cn, cm = int(comp_n[dom]), int(comp_m[dom])
             lv = max(int(comp_levels[dom]) - 1, 1)
-            est = disp._estimate(
-                nnz_x=max(cn // lv, 1),
-                e_active=max(cm // lv, 1),
-                s_allowed=max(cm, 1),
-                n_allowed=max(cn, 1),
-                max_deg_allowed=int(comp_maxdeg[dom]),
-                dtype=forward_dtype,
-                batch=lanes,
-            )
-            if algorithm in est and algorithm != "tcspmm":
-                per_level = est[algorithm]
-            else:
-                warp = {k: v for k, v in est.items() if k != "tcspmm"} or est
-                per_level = min(warp.values())
+            cn, nnz_x = int(comp_n[dom]), max(int(comp_n[dom]) // lv, 1)
+            cm, lines, strips = (int(v) for v in comp_cols[:, dom])
+            stripes = stripe_any(labels == dom)  # its share of the tile directory
+            forward = LevelStats(
+                scatter=False, masked=True, batch=lanes, dtype=np.dtype(forward_dtype),
+                nnz_x=nnz_x, e_active=max(cm // lv, 1), n_proc=cn, slots=cn * lanes,
+                s_proc=cm, lines=lines, strips=strips, dmax=int(comp_dmax[dom]),
+                tiles=tile_stats(csc, stripes, stripes, "col"))
+            if graph.directed:  # the scatter processes the level's active columns,
+                # committing along every row stripe
+                columns = dict(scatter=True, n_proc=nnz_x, s_proc=max(cm // lv, 1),
+                               lines=lines // lv, strips=strips // lv, tiles=tile_stats(
+                                   csc, np.ones_like(stripes), stripes, "row"))
+            else:               # the unmasked gather processes every column
+                columns = dict(n_proc=graph.n, **dict(zip(
+                    ("s_proc", "lines", "strips", "dmax"), disp.all_columns)))
+            backward = dataclasses.replace(
+                forward, masked=False, dtype=np.dtype(np.float32),
+                slots=columns["n_proc"] * lanes, **columns)
+            per_level = charge(disp.price(forward)) + charge(disp.price(backward))
             cache[key] = per_level
-        cost = 2.0 * levels * (per_level + per_level_overhead)
+        cost = levels * (per_level + per_level_overhead)
         tasks.append(
             SourceTask(index=idx, sources=tuple(chunk), est_cost_s=float(cost))
         )

@@ -18,12 +18,14 @@ a behavioural simulation of that device with three faithful pieces:
   model: a kernel launch costs
   ``max(compute, memory) + launch_overhead`` where compute time comes from
   divergence-aware warp cycles over the device's warp-issue throughput and
-  memory time from DRAM transactions over peak bandwidth.
+  memory time from DRAM transactions over peak bandwidth
+  (:func:`~repro.gpusim.device.model_launch`, a pure function of the
+  stats that the adaptive dispatcher prices its candidates with too).
 * :mod:`repro.gpusim.profiler` -- an nvprof-like event log, including the
   Global-memory Load Throughput (GLT) metric of the paper's Figure 5.
 """
 
-from repro.gpusim.device import Device, DeviceSpec, TITAN_XP
+from repro.gpusim.device import Device, DeviceSpec, TITAN_XP, model_launch
 from repro.gpusim.errors import DeviceOutOfMemoryError, GpuSimError, InvalidKernelError
 from repro.gpusim.kernel import KernelLaunch, KernelStats
 from repro.gpusim.link import Link, TransferEvent
@@ -46,4 +48,5 @@ __all__ = [
     "Link",
     "Profiler",
     "TransferEvent",
+    "model_launch",
 ]

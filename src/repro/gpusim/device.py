@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from dataclasses import dataclass
 
@@ -70,6 +71,38 @@ class DeviceSpec:
 TITAN_XP = DeviceSpec()
 
 
+def model_launch(stats: KernelStats, spec: DeviceSpec, *, tag: str = "") -> KernelLaunch:
+    """The roofline timing of one kernel: a pure function of its stats.
+
+    :meth:`Device.launch` records exactly this (times any injected
+    slowdown), and the adaptive dispatcher prices its candidates with it,
+    so an estimate is the ``exec_time_s`` the launch would report for the
+    same stats.
+    """
+    # Two latency floors throughput cannot hide: the same-address atomic
+    # chain and the slowest warp's own execution.
+    serial = max(
+        stats.serial_updates * spec.atomic_serialization_s,
+        stats.critical_warp_cycles / (spec.clock_ghz * 1e9),
+    )
+    # The MMA pipe runs concurrently with the CUDA cores; its busy time is a
+    # fourth roofline arm (dense flops against the mma_tflops peak).
+    mma = (
+        stats.mma_ops * MMA_FLOPS_PER_OP / (spec.mma_tflops * 1e12)
+        if stats.mma_ops
+        else 0.0
+    )
+    return KernelLaunch(
+        stats=stats,
+        compute_time_s=stats.warp_cycles / spec.warp_issue_rate,
+        memory_time_s=stats.dram_bytes / (spec.dram_bandwidth_gbs * 1e9),
+        overhead_s=spec.kernel_launch_overhead_us * 1e-6,
+        serial_time_s=serial,
+        mma_time_s=mma,
+        tag=tag,
+    )
+
+
 def _parse_slowdown(value: str) -> dict[str, float]:
     """Parse ``REPRO_INJECT_SLOWDOWN`` into ``{kernel_name: factor}``.
 
@@ -106,40 +139,28 @@ class Device:
         self.profiler = Profiler()
         self._slowdown = _parse_slowdown(os.environ.get("REPRO_INJECT_SLOWDOWN", ""))
 
+    def model(self, stats: KernelStats, *, tag: str = "") -> KernelLaunch:
+        """Time a kernel from its stats without recording it: the pure
+        :func:`model_launch`, scaled by any ``REPRO_INJECT_SLOWDOWN`` factor."""
+        launch = model_launch(stats, self.spec, tag=tag)
+        factor = self._slowdown.get(stats.name, self._slowdown.get("*", 1.0))
+        if factor == 1.0:
+            return launch
+        return dataclasses.replace(
+            launch,
+            compute_time_s=launch.compute_time_s * factor,
+            memory_time_s=launch.memory_time_s * factor,
+            serial_time_s=launch.serial_time_s * factor,
+            mma_time_s=launch.mma_time_s * factor,
+        )
+
     def launch(self, stats: KernelStats, *, tag: str = "") -> KernelLaunch:
         """Time a kernel from its stats and record it with the profiler.
 
         ``tag`` annotates the launch (e.g. the BFS level) for later
         inspection without affecting aggregation.
         """
-        compute = stats.warp_cycles / self.spec.warp_issue_rate
-        memory = stats.dram_bytes / (self.spec.dram_bandwidth_gbs * 1e9)
-        # Two latency floors throughput cannot hide: the same-address atomic
-        # chain and the slowest warp's own execution.
-        serial = max(
-            stats.serial_updates * self.spec.atomic_serialization_s,
-            stats.critical_warp_cycles / (self.spec.clock_ghz * 1e9),
-        )
-        # The MMA pipe runs concurrently with the CUDA cores; its busy time
-        # is a fourth roofline arm (dense flops against the mma_tflops peak).
-        mma = (
-            stats.mma_ops * MMA_FLOPS_PER_OP / (self.spec.mma_tflops * 1e12)
-            if stats.mma_ops
-            else 0.0
-        )
-        if self._slowdown:
-            factor = self._slowdown.get(stats.name, self._slowdown.get("*", 1.0))
-            compute, memory = compute * factor, memory * factor
-            serial, mma = serial * factor, mma * factor
-        launch = KernelLaunch(
-            stats=stats,
-            compute_time_s=compute,
-            memory_time_s=memory,
-            overhead_s=self.spec.kernel_launch_overhead_us * 1e-6,
-            serial_time_s=serial,
-            mma_time_s=mma,
-            tag=tag,
-        )
+        launch = self.model(stats, tag=tag)
         self.profiler.record(launch)
         tel = get_telemetry()
         if tel is not None:

@@ -225,6 +225,29 @@ def max_warp_cycles(
     return int(w.max()) * cycles_per_unit
 
 
+def slowest_per_warp(
+    work_per_thread: np.ndarray,
+    *,
+    warp_size: int = WARP_SIZE,
+) -> np.ndarray:
+    """Index of each warp's slowest thread, the lane its warp retires with.
+
+    Summing a per-thread count over these indices gives that count's share
+    of :func:`divergent_warp_cycles` exactly, which is how the kernel cost
+    models split divergent issue time into scalar counts.
+    """
+    w = np.asarray(work_per_thread, dtype=np.int64)
+    if w.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    pad = (-w.size) % warp_size
+    if pad:
+        # zero padding sits after a warp's real lanes, so argmax (the first
+        # maximum) never picks it
+        w = np.concatenate([w, np.zeros(pad, dtype=np.int64)])
+    first = np.arange(0, w.size, warp_size)
+    return first + w.reshape(-1, warp_size).argmax(axis=1)
+
+
 def divergent_warp_cycles(
     work_per_thread: np.ndarray,
     *,

@@ -1,22 +1,29 @@
-"""Model audit: dispatch regret and estimator calibration drift.
+"""Model audit: dispatch regret and profile-estimation drift.
 
-PR 4's :class:`~repro.core.dispatch.AdaptiveDispatcher` picks a kernel per
-level from *closed-form estimates*; the launches then run under the full
-hardware model.  Two things can go wrong, and this module measures both:
+The :class:`~repro.core.dispatch.AdaptiveDispatcher` picks a kernel per
+level by pricing an *expected* profile of each candidate with that
+kernel's own cost formula and the device roofline; the launch prices the
+*exact* profile of the product it computed with the same two functions.
+An estimate and a measurement can therefore differ only where an expected
+count differs from the exact one, and this module measures both effects:
 
-* **calibration drift** -- the estimate for the *chosen* kernel disagrees
-  with its measured modeled time.  Drift is the log-ratio-style factor
-  ``measured / estimated``; a kernel whose estimator runs 3x hot is a
-  mis-calibrated cost term even if the argmin still lands right;
+* **drift** -- the estimate for the *chosen* kernel disagrees with its
+  measured modeled time, ``measured / estimated``.  It isolates
+  profile-estimation error: a kernel drifting 3x hot has an expectation
+  term (contributing entries, first-hit probes, divergence, ...) that
+  misreads its frontiers, even if the argmin still lands right;
 * **regret** -- the chosen kernel was not the measured-fastest strategy on
   that level.  Per level, regret is ``measured(chosen) -
   min(measured(any))`` -- the time the run paid for trusting the estimate.
 
 Measured times for the chosen kernel come free with every adaptive run
 (``record_measured``); the unchosen strategies need
-``RunTelemetry(audit_dispatch=True)``, which replays them on a shadow
-device (main-run times and results stay untouched).  Without the audit
-flag the regret section degrades to estimate-only comparison and says so.
+``RunTelemetry(audit_dispatch=True)``, which fills their exact profiles
+from the product the chosen launch already computed and times them on the
+device's model without recording a launch -- no numerics are re-run, and
+the main run's launches, times and results stay untouched.  Without the
+audit flag the regret section degrades to estimate-only comparison and
+says so.
 """
 
 from __future__ import annotations
@@ -140,9 +147,7 @@ def audit_dispatch(decisions) -> DispatchAudit:
     for d in audit.decisions:
         mix = audit.level_mix.setdefault(d.stage, {})
         mix[d.kernel] = mix.get(d.kernel, 0) + 1
-        # Decisions recorded before the direction-optimizing dispatcher
-        # (PR 4 traces) carry no direction field; they were all push.
-        direction = getattr(d, "direction", "push")
+        direction = d.direction
         dmix = audit.direction_mix.setdefault(d.stage, {})
         dmix[direction] = dmix.get(direction, 0) + 1
         level = audit.depth_direction.setdefault((d.stage, d.depth), {})

@@ -53,10 +53,11 @@ class RunTelemetry:
         #: Modeled GPU seconds per run phase (setup/forward/backward/rerun),
         #: attributed by the open span stack at each launch.
         self.phase_gpu_time_s: dict[str, float] = {}
-        #: When set, adaptive contexts replay the *unchosen* strategies on a
-        #: private shadow device so the regret report can compare measured
-        #: times (see obs/audit.py).  Off by default: shadow replays cost
-        #: real work, though they never touch the main device's profiler.
+        #: When set, adaptive contexts also time the *unchosen* strategies'
+        #: exact profiles from each launch's product, so the regret report
+        #: can compare measured times (see obs/audit.py).  Off by default:
+        #: filling the profiles costs real work, though nothing is recorded
+        #: on the device's profiler.
         self.audit_dispatch = audit_dispatch
         #: DispatchDecision lists pushed by finished adaptive runs.
         self.dispatch_decisions: list = []

@@ -38,13 +38,19 @@ multi-source formulation), so there is one entry point per product:
 Every kernel function returns ``(Y, KernelLaunch)``: the numerically exact
 result, computed once for all kernels in :mod:`repro.spmv._spmm`, and the
 launch record carrying the structure-exact hardware statistics of the
-equivalent CUDA kernel.  Each kernel has one cost formula: at ``B = 1`` it
-is the paper's SpMV cost, and a sparse structure scanned once for the whole
-batch with frontier rows loaded B-wide (coalesced) is what makes wide
-batches fast.  A lane of a batched product is bit-identical to that
+equivalent CUDA kernel.  Each kernel module reduces a computed product to
+the scalar counts of a :class:`Profile` (``profile(csc, product,
+l2_bytes)``) and has one pure cost formula, ``cost(profile, spec) ->
+KernelStats``, with a gather and a scatter arm; the adaptive dispatcher
+prices the same formulas over expected profiles, which each module's
+``expected`` maps from the dispatcher's shared fill.  At ``B = 1`` a formula
+is the paper's SpMV cost, and a sparse structure scanned once for the
+whole batch with frontier rows loaded B-wide (coalesced) is what makes
+wide batches fast.  A lane of a batched product is bit-identical to that
 source's ``B = 1`` product.
 """
 
+from repro.spmv._spmm import Profile, any_lane
 from repro.spmv.edgecsc import edgecsc_spmm, edgecsc_spmm_scatter
 from repro.spmv.sccooc import sccooc_spmm, sccooc_spmm_scatter
 from repro.spmv.sccsc import sccsc_spmm, sccsc_spmm_scatter
@@ -66,8 +72,12 @@ KERNEL_NAMES = ("sccooc", "sccsc", "veccsc")
 #: configs, the kernel differential and the adaptive dispatcher.
 EXTENDED_KERNEL_NAMES = KERNEL_NAMES + ("pullcsc", "tcspmm")
 
+
+
 __all__ = [
     "KERNEL_NAMES",
+    "Profile",
+    "any_lane",
     "EXTENDED_KERNEL_NAMES",
     "edgecsc_spmm",
     "edgecsc_spmm_scatter",

@@ -25,7 +25,11 @@ cost model, never in their results, so the numerics live here once:
 
 :func:`gather_product`, :func:`push_product` and :func:`scatter_product`
 wrap the reduction with the kernels' masking and output-cast conventions
-and return a :class:`Product` carrying everything the cost models read.
+and return a :class:`Product`.  Each kernel reduces a Product to the
+scalar counts of a :class:`Profile` and prices it with its one cost
+formula, ``cost(profile, spec) -> KernelStats`` (a gather and a scatter
+arm); the adaptive dispatcher prices the same formulas over *expected*
+profiles.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.gpusim import warp as W
 
 
 def as_frontier_matrix(X: np.ndarray, n_rows: int) -> np.ndarray:
@@ -125,6 +131,8 @@ class Product:
     kept: np.ndarray
     written: int
     allowed: np.ndarray | None = None
+    #: True for the scatter ``Y = A X``, False for the gather ``Y = A^T X``.
+    scatter: bool = False
 
     @property
     def masked(self) -> bool:
@@ -178,7 +186,8 @@ def gather_product(mat, X, allowed=None, out_dtype=None) -> Product:
     return Product(Y, X, lanes, kept, written, allowed)
 
 
-def push_product(X, src_idx, dst_idx, n_out: int, out_dtype=None) -> Product:
+def push_product(X, src_idx, dst_idx, n_out: int, out_dtype=None, *,
+                 scatter: bool = False) -> Product:
     """``Y[d] = sum of the positive lanes of X[s] over the entries (s, d)``.
 
     The semantics of the kernels that push frontier values along stored
@@ -192,7 +201,7 @@ def push_product(X, src_idx, dst_idx, n_out: int, out_dtype=None) -> Product:
     lanes = np.count_nonzero(Xp, axis=1).astype(np.int64) if X.shape[1] > 1 else (
         Xp[:, 0] > 0).astype(np.int64)
     written = int(np.count_nonzero(any_lane(Y)))
-    return Product(Y, Xp, lanes, kept, written)
+    return Product(Y, Xp, lanes, kept, written, scatter=scatter)
 
 
 def scatter_product(mat, X, out_dtype=None) -> Product:
@@ -202,4 +211,93 @@ def scatter_product(mat, X, out_dtype=None) -> Product:
     direction; the kernels read the same stored format as the gather.
     """
     X = as_frontier_matrix(X, mat.n_cols)
-    return push_product(X, mat.column_of_nnz(), mat.row, mat.n_rows, out_dtype)
+    return push_product(X, mat.column_of_nnz(), mat.row, mat.n_rows, out_dtype,
+                        scatter=True)
+
+
+@dataclass(slots=True)
+class Profile:
+    """The scalar counts a kernel's cost formula reads.
+
+    A launch fills it exactly from its :class:`Product`; the adaptive
+    dispatcher and the multi-GPU scheduler fill one shared profile with
+    expected values, which each kernel's ``expected`` maps onto its own
+    fields (:func:`expected`).  Each kernel reads the fields its formula
+    needs.  A *thread* is the
+    kernel's unit of work (a column, a row, a stored entry), and per-thread
+    work is counted in *entries* and *lane entries* ((entry, lane) pairs
+    accumulated); warp-per-column kernels step through 32-entry strips.
+    """
+
+    n_cols: int
+    n_rows: int
+    nnz: int
+    B: int
+    dtype: np.dtype
+    out_dtype: np.dtype
+    scatter: bool = False        # the scatter ``Y = A X``, else the gather
+    masked: bool = False
+    tiles: int = 0               # occupied 16x16 tiles of the directory
+    scanned: float = 0           # stored entries the threads scan
+    lines: float = 0             # row_A line fills: sum of ceil(entries / 8)
+    active_threads: float = 0    # threads that scan at least one entry
+    lanes: float = 0             # lanes processed by those threads
+    frontier_slots: float = 0    # positive (index, lane) slots of the frontier
+    lane_entries: float = 0      # (entry, lane) pairs scanned
+    contrib: float = 0           # contributing entries
+    lane_hits: float = 0         # contributing (entry, lane) pairs
+    written: float = 0           # output rows stored
+    chain: float = 0             # longest same-address atomic chain
+    warp_entries: float = 0      # sum over warps of the slowest thread's entries
+    warp_lane_entries: float = 0  # ... and of its lane entries
+    crit_entries: float = 0      # the slowest thread's entries
+    crit_lane_entries: float = 0  # ... and its lane entries
+    gather_txn: float = 0        # index-dependent B-wide gather transactions
+    store_txn: float = 0         # index-dependent atomic-store transactions
+    conflicts: float = 0         # intra-warp same-address atomic cycles
+    tiles_active: float = 0      # tiles the blocked kernel multiplies
+    tile_entries: float = 0      # their stored entries
+    tile_max: float = 0          # entries of the fullest active tile
+    tile_chain: float = 0        # active tiles committing to one output stripe
+
+
+def expected(csc, q: Profile, lv, *, divergence: float, l2_bytes: int) -> Profile:
+    """A kernel's expected profile from the dispatcher's shared fill ``q``
+    (threads are the processed columns scanning their entries, warp sums
+    ``divergence`` times the mean) and the level's reductions ``lv``; a
+    kernel whose fields mean just that reads ``q`` as is."""
+    return q
+
+
+def launch(device, mat, p: Product, profile, cost, tag: str = ""):
+    """Record a kernel's launch: ``cost(profile(mat, p, l2_bytes), spec)``."""
+    spec = device.spec
+    return device.launch(cost(profile(mat, p, spec.l2_bytes), spec), tag=tag)
+
+
+def shape_of(mat, p: Product) -> dict:
+    """The :class:`Profile` fields a product's shape fixes."""
+    return dict(n_cols=mat.n_cols, n_rows=mat.n_rows, nnz=mat.nnz, B=p.B,
+                dtype=p.dtype, out_dtype=p.out_dtype, scatter=p.scatter,
+                masked=p.masked)
+
+
+def atomic_chain(targets: np.ndarray) -> int:
+    """Longest same-address atomic chain: the most updates one target gets."""
+    return int(np.bincount(targets).max()) if targets.size else 0
+
+
+def warp_sums(work: np.ndarray, *counts: np.ndarray) -> list:
+    """Sums of per-thread ``counts`` over each warp's slowest thread by
+    ``work``: the divergence fields (``warp_*``) of a thread-per-index pass."""
+    idx = W.slowest_per_warp(work)
+    return [int(c[idx].sum()) for c in counts]
+
+
+def at_slowest(work: np.ndarray, *counts: np.ndarray) -> list:
+    """Per-thread ``counts`` at the kernel's slowest thread by ``work``:
+    the critical-path fields (``crit_*``)."""
+    if work.size == 0:
+        return [0] * len(counts)
+    idx = int(np.argmax(work))
+    return [int(c[idx]) for c in counts]

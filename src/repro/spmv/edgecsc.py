@@ -33,6 +33,8 @@ SpMV.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.formats.csc import CSCMatrix
@@ -52,75 +54,73 @@ def lookup_cycles(n_cols: int) -> int:
     return max(1, int(np.ceil(np.log2(max(n_cols, 2)))))
 
 
-def _lookup_txn(csc: CSCMatrix, l2_bytes: int) -> int:
-    """DRAM transactions of the per-thread ``CP_A`` binary search.
-
-    All ``m`` threads probe the same (n+1)-word array; the L2 compulsory
-    bound caps the traffic at the array's own segment count.
-    """
-    return W.capped_random_transactions(csc.nnz, csc.n_cols + 1, 4, l2_bytes=l2_bytes)
-
-
-def _edgecsc_stats(
-    csc: CSCMatrix,
-    p: M.Product,
-    name: str,
-    l2_bytes: int,
-    *,
-    loads: np.ndarray | None,
-    stores: np.ndarray,
-    store_words: int,
-    lane_hits: int,
-) -> KernelStats:
-    """Hardware stats for a thread-per-edge pass.
-
-    ``loads`` are the frontier rows the gather threads load (storage order;
-    ``None`` for the scatter's load at every entry's column, which is
-    cached per matrix), ``stores`` the destinations of the contributing entries' atomics
-    and ``lane_hits`` their (entry, lane) count.
-    """
-    m = csc.nnz
-    B = p.B
-    item = p.dtype.itemsize
-    df = W.dtype_cycle_factor(p.dtype)
-    look = lookup_cycles(csc.n_cols)
-    if loads is None:
-        # consecutive threads of a column read the same frontier row, so the
-        # gather merges like one at the column indices themselves (its
-        # requests ride on the row_A sweep's)
-        x_txn = csc.full_gather_transactions(item, lanes=B, columns=True,
-                                             l2_bytes=l2_bytes)
-        n_loads = 0
+def profile(csc: CSCMatrix, p: M.Product, l2_bytes: int) -> M.Profile:
+    """Exact counts of a thread-per-edge pass.  The gather's threads load
+    the frontier rows of the processed columns' entries and store into
+    columns; the scatter's load at every entry's column (consecutive threads
+    of a column read the same row, so the gather merges like one at the
+    column indices, its requests riding on the row_A sweep's) and store
+    into rows."""
+    item, B = p.dtype.itemsize, p.B
+    col_of_nnz = csc.column_of_nnz()
+    if p.scatter:
+        stores, store_words = csc.row[p.kept], csc.n_rows
+        loads = 0
+        txn = csc.full_gather_transactions(item, lanes=B, columns=True,
+                                           l2_bytes=l2_bytes)
+        hits = int(p.lanes[col_of_nnz[p.kept]].sum())
     else:
-        x_txn = W.cached_gather_transactions(loads, item, csc.n_rows, lanes=B,
-                                             l2_bytes=l2_bytes)
-        n_loads = int(loads.size)
-    read_txn = (
-        W.coalesced_transactions(m)                      # row_A sweep
-        + _lookup_txn(csc, l2_bytes)                     # CP_A binary search
-        + x_txn
+        stores, store_words = col_of_nnz[p.kept], csc.n_cols
+        if p.masked:
+            sel_rows = csc.row[(p.lanes > 0)[col_of_nnz]]
+            loads = int(sel_rows.size)
+            txn = W.cached_gather_transactions(sel_rows, item, csc.n_rows, lanes=B,
+                                               l2_bytes=l2_bytes)
+        else:
+            loads = csc.nnz
+            txn = csc.full_gather_transactions(item, lanes=B, l2_bytes=l2_bytes)
+        hits = p.lane_hits(csc.row, col_of_nnz)
+    return M.Profile(
+        **M.shape_of(csc, p), scanned=loads, contrib=int(stores.size), lane_hits=hits,
+        chain=M.atomic_chain(stores), gather_txn=txn,
+        store_txn=W.cached_gather_transactions(stores, item, store_words, lanes=B,
+                                               l2_bytes=l2_bytes),
+        conflicts=W.atomic_conflict_cycles(stores),
     )
-    n_stores = int(stores.size)
-    write_txn = (
-        W.cached_gather_transactions(stores, item, store_words, lanes=B,
-                                     l2_bytes=l2_bytes)
-        if n_stores
-        else 0
-    )
+
+
+def expected(csc, q: M.Profile, lv, *, divergence: float, l2_bytes: int) -> M.Profile:
+    """Expected counts from the dispatcher's shared fill ``q``; a scatter
+    loads at every entry's column, the full column pass (see profile)."""
+    if not q.scatter:
+        return q
+    return replace(q, gather_txn=csc.full_gather_transactions(
+        q.dtype.itemsize, lanes=q.B, columns=True, l2_bytes=l2_bytes))
+
+
+def cost(q: M.Profile, spec) -> KernelStats:
+    """Hardware stats of a thread-per-edge pass (gather or scatter alike):
+    a CP_A lookup per entry, an atomic per contributing lane."""
+    m, B, df = q.nnz, q.B, W.dtype_cycle_factor(q.dtype)
+    look = lookup_cycles(q.n_cols)
+    # all m threads binary-search the same (n+1)-word CP_A, so the L2
+    # compulsory bound caps the traffic at the array's own segment count
+    lookup_txn = W.capped_random_transactions(m, q.n_cols + 1, 4, l2_bytes=spec.l2_bytes)
+    read_txn = W.coalesced_transactions(m) + lookup_txn + q.gather_txn
     return KernelStats(
-        name=name,
+        name="edgecsc_spmm_scatter" if q.scatter else "edgecsc_spmm",
         threads=m,
         warp_cycles=(
             W.uniform_warp_cycles(m, _BASE_CYCLES + look)
-            + W.warp_count(lane_hits) * _ACTIVE_CYCLES * df
-            + W.atomic_conflict_cycles(stores) * df
+            + W.warp_count(q.lane_hits) * _ACTIVE_CYCLES * df
+            + q.conflicts * df
         ),
-        dram_read_bytes=(read_txn + write_txn) * W.TRANSACTION_BYTES,
-        dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
-        requested_load_bytes=(2 * m + n_loads * B + n_stores + lane_hits) * item,
-        serial_updates=int(np.bincount(stores).max()) * df if n_stores else 0,
+        dram_read_bytes=(read_txn + q.store_txn) * W.TRANSACTION_BYTES,
+        dram_write_bytes=q.store_txn * W.TRANSACTION_BYTES,
+        requested_load_bytes=(2 * m + q.scanned * B + q.contrib + q.lane_hits) * q.dtype.itemsize,
+        serial_updates=q.chain * df,
         critical_warp_cycles=_BASE_CYCLES + look + _ACTIVE_CYCLES * B,  # flat per-edge work
-        flops=lane_hits,
+        flops=q.lane_hits,
     )
 
 
@@ -140,14 +140,7 @@ def edgecsc_spmm(
     a per-column scan).  Threads of masked columns stop at the mask.
     """
     p = M.gather_product(csc, X, allowed, out_dtype)
-    col_of_nnz = csc.column_of_nnz()
-    sel_rows = csc.row[(p.lanes > 0)[col_of_nnz]] if p.masked else csc.row
-    stats = _edgecsc_stats(
-        csc, p, "edgecsc_spmm", device.spec.l2_bytes,
-        loads=sel_rows, stores=col_of_nnz[p.kept], store_words=csc.n_cols,
-        lane_hits=p.lane_hits(csc.row, col_of_nnz),
-    )
-    return p.Y, device.launch(stats, tag=tag)
+    return p.Y, M.launch(device, csc, p, profile, cost, tag)
 
 
 def edgecsc_spmm_scatter(
@@ -161,14 +154,7 @@ def edgecsc_spmm_scatter(
     """Scatter product ``Y = A X``, one thread per stored entry.
 
     Each thread whose column has a positive lane value atomically adds it
-    to its row's ``Y`` row; used by the backward stage on digraphs.  The
-    frontier gather at the column indices merges across the consecutive
-    threads of a column.
+    to its row's ``Y`` row; used by the backward stage on digraphs.
     """
     p = M.scatter_product(csc, X, out_dtype)
-    stats = _edgecsc_stats(
-        csc, p, "edgecsc_spmm_scatter", device.spec.l2_bytes,
-        loads=None, stores=csc.row[p.kept], store_words=csc.n_rows,
-        lane_hits=int(p.lanes[csc.column_of_nnz()[p.kept]].sum()),
-    )
-    return p.Y, device.launch(stats, tag=tag)
+    return p.Y, M.launch(device, csc, p, profile, cost, tag)

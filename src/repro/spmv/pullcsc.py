@@ -45,6 +45,8 @@ accumulation.  ``B = 1`` is the SpMV.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.formats.csc import CSCMatrix
@@ -98,72 +100,104 @@ def first_hit_probes(
     return probe, discovered
 
 
-def _pullcsc_stats(
-    csc: CSCMatrix,
-    p: M.Product,
-    write_txn: int,
-    name: str,
-    l2_bytes: int,
-) -> KernelStats:
-    """Hardware stats for a masked bottom-up (pull) gather pass.
+def profile(csc: CSCMatrix, p: M.Product, l2_bytes: int) -> M.Profile:
+    """Exact counts of a pull pass.
 
-    The unmasked full product has no discovery decision, so every column
-    scans once with no phase-1 loop.
+    The gather's threads are columns: with a mask, the two-phase early-exit
+    discovery model applies; the unmasked full product has no discovery
+    decision, so every column scans once with no phase-1 loop.  The
+    scatter's threads are rows, each scanning all its entries.  Lane
+    entries are the contributing (bitmap-hit) gathers, the only scattered
+    ``x`` loads.
     """
-    B, lanes = p.B, p.lanes
-    x_itemsize = p.dtype.itemsize
-    dtype_factor = W.dtype_cycle_factor(p.dtype)
-    n = csc.n_cols
-    n_rows = csc.n_rows
-    deg = csc.column_counts().astype(np.int64)
-    allowed = lanes > 0
-    active_rows = M.any_lane(p.X > 0)
-    if p.masked:
-        probe, discovered = first_hit_probes(csc, allowed, active_rows)
-        rescan = np.where(discovered, deg, 0)
+    df = W.dtype_cycle_factor(p.dtype)
+    if p.scatter:
+        scanned = csc.row_counts()
+        contrib = np.bincount(csc.row[p.kept], minlength=csc.n_rows).astype(np.int64)
+        gathers = contrib * p.B
+        written = int(np.count_nonzero(contrib))
     else:
-        probe = np.where(allowed, deg, 0)
-        rescan = np.zeros(n, dtype=np.int64)
-    scanned = probe + rescan
-    total_scanned = int(scanned.sum())
-
-    # Contributing entries (bitmap hits): the only scattered x gathers.
-    contrib_per_col = np.bincount(
-        csc.column_of_nnz()[p.kept], minlength=n).astype(np.int64)
-    total_contrib = int(p.kept.size)
-
-    bitmap_words = -(-n_rows * B // 32)
-    row_txn = int(np.sum((scanned + 7) // 8))
-    probe_txn = W.capped_random_transactions(
-        total_scanned, bitmap_words, 4, l2_bytes=l2_bytes
-    )
-    x_txn = W.bwide_gather_transactions(
-        total_contrib, B, n_rows, x_itemsize, l2_bytes=l2_bytes
-    )
-    ptr_txn = 2 * W.coalesced_transactions(n)
-    # Fused bitmap build: one coalesced sweep of the frontier, packed writes.
-    build_txn = W.coalesced_transactions(n_rows * B, x_itemsize) + W.coalesced_transactions(
-        bitmap_words
+        deg = csc.column_counts().astype(np.int64)
+        allowed = p.lanes > 0
+        if p.masked:
+            probe, discovered = first_hit_probes(csc, allowed, M.any_lane(p.X > 0))
+            scanned = probe + np.where(discovered, deg, 0)
+        else:
+            scanned = np.where(allowed, deg, 0)
+        contrib = np.bincount(csc.column_of_nnz()[p.kept], minlength=csc.n_cols)
+        gathers = contrib.astype(np.int64) * p.lanes
+        written = p.written
+    (we, wle), (ce, cle) = (
+        M.warp_sums(scanned * _PROBE_CYCLES + gathers * df * _GATHER_CYCLES,
+                    scanned, gathers),
+        M.at_slowest(scanned * _CRITICAL_PROBE_CYCLES
+                     + gathers * df * _CRITICAL_GATHER_CYCLES, scanned, gathers))
+    return M.Profile(
+        **M.shape_of(csc, p), scanned=int(scanned.sum()),
+        lines=int(np.sum((scanned + 7) // 8)), contrib=int(p.kept.size),
+        written=written, warp_entries=we, warp_lane_entries=wle,
+        crit_entries=ce, crit_lane_entries=cle,
     )
 
-    gathers = contrib_per_col * lanes * dtype_factor
-    warp_cycles = W.divergent_warp_cycles(
-        scanned * _PROBE_CYCLES + gathers * _GATHER_CYCLES, base_cycles=_BASE_CYCLES
-    ) + W.uniform_warp_cycles(n_rows * B, _BITMAP_BUILD_CYCLES)
-    critical = W.max_warp_cycles(
-        scanned * _CRITICAL_PROBE_CYCLES + gathers * _CRITICAL_GATHER_CYCLES
-    )
+
+def expected(csc, q: M.Profile, lv, *, divergence: float, l2_bytes: int) -> M.Profile:
+    """Expected counts from the dispatcher's shared fill ``q``: a masked
+    gather's phase 1 stops ``~1 / p`` entries in (``p`` the frontier
+    density) and its discovered columns rescan from a new line; a scatter's
+    threads are the rows.  Lane entries are the contributing gathers."""
+    lanes = q.lanes / max(q.active_threads, 1)
+    probes, lines, top = q.scanned, q.lines, q.crit_entries
+    p = lv.nnz_x / max(q.n_cols, 1)
+    if q.scatter:
+        rowdeg = csc.row_counts()
+        probes, lines, lanes = q.nnz, int(((rowdeg + 7) >> 3).sum()), q.B
+        top = int(rowdeg.max()) if rowdeg.size else 0
+    elif q.masked and p > 0:
+        avg = q.scanned / max(q.active_threads, 1)
+        probes = q.active_threads * min(avg, 1.0 / p) + q.written * avg
+        lines = q.lines + q.written
+    return replace(q, scanned=probes, lines=lines,
+                   warp_entries=divergence * probes / W.WARP_SIZE,
+                   warp_lane_entries=divergence * q.contrib * lanes / W.WARP_SIZE,
+                   crit_entries=top, crit_lane_entries=q.chain * lanes)
+
+
+def cost(q: M.Profile, spec) -> KernelStats:
+    """Hardware stats of a pull pass: the threads scan their entries probing
+    the frontier bitmap, built by a fused coalesced pass over the frontier,
+    and gather the contributing B-wide rows.  The gather's threads are the
+    columns; the scatter's own the rows, so it has no atomic chain and its
+    B-wide row stores coalesce."""
+    B, item, df, l2 = q.B, q.dtype.itemsize, W.dtype_cycle_factor(q.dtype), spec.l2_bytes
+    if q.scatter:
+        threads, x_rows, mask_words = q.n_rows, q.n_cols, 0
+        x_txn = W.scalar_gather_transactions(q.contrib, x_rows, item, lanes=B, l2_bytes=l2)
+        write_txn = W.coalesced_transactions(q.written * B, item)
+    else:
+        threads, x_rows, mask_words = q.n_cols, q.n_rows, q.n_cols * B
+        x_txn = W.bwide_gather_transactions(q.contrib, B, x_rows, item, l2_bytes=l2)
+        write_txn = q.written * W.coalesced_transactions(B, q.out_dtype.itemsize)
+    bitmap_words = -(-x_rows * B // 32)
     return KernelStats(
-        name=name,
-        threads=n,
-        warp_cycles=warp_cycles,
-        dram_read_bytes=(ptr_txn + row_txn + probe_txn + x_txn + build_txn)
-        * W.TRANSACTION_BYTES,
+        name="pullcsc_spmm_scatter" if q.scatter else "pullcsc_spmm",
+        threads=threads,
+        warp_cycles=_PROBE_CYCLES * q.warp_entries
+        + _GATHER_CYCLES * df * q.warp_lane_entries
+        + _BASE_CYCLES * W.warp_count(threads)
+        + W.uniform_warp_cycles(x_rows * B, _BITMAP_BUILD_CYCLES),
+        dram_read_bytes=(
+            2 * W.coalesced_transactions(threads) + q.lines
+            + W.capped_random_transactions(q.scanned, bitmap_words, 4, l2_bytes=l2)
+            + x_txn
+            + W.coalesced_transactions(x_rows * B, item)
+            + W.coalesced_transactions(bitmap_words)
+        ) * W.TRANSACTION_BYTES,
         dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
-        requested_load_bytes=(2 * n + n * B + 2 * total_scanned) * 4
-        + (n_rows * B + total_contrib * B) * x_itemsize,
-        critical_warp_cycles=critical,
-        flops=total_contrib * B,
+        requested_load_bytes=(2 * threads + mask_words + 2 * q.scanned) * 4
+        + (x_rows * B + q.contrib * B) * item,
+        critical_warp_cycles=_CRITICAL_PROBE_CYCLES * q.crit_entries
+        + _CRITICAL_GATHER_CYCLES * df * q.crit_lane_entries,
+        flops=q.contrib * B,
     )
 
 
@@ -185,9 +219,7 @@ def pullcsc_spmm(
     for the zero-heavy dependency matrix).
     """
     p = M.gather_product(csc, X, allowed, out_dtype)
-    write_txn = p.written * W.coalesced_transactions(p.B, p.out_dtype.itemsize)
-    stats = _pullcsc_stats(csc, p, write_txn, "pullcsc_spmm", device.spec.l2_bytes)
-    return p.Y, device.launch(stats, tag=tag)
+    return p.Y, M.launch(device, csc, p, profile, cost, tag)
 
 
 def pullcsc_spmm_scatter(
@@ -207,44 +239,4 @@ def pullcsc_spmm_scatter(
     structural advantage over the push scatter kernels on hub rows.
     """
     p = M.scatter_product(csc, X, out_dtype)
-    n = csc.n_cols
-    B = p.B
-    row_deg = csc.row_counts()
-    contrib_per_row = np.bincount(csc.row[p.kept], minlength=csc.n_rows).astype(np.int64)
-    n_contrib = int(p.kept.size)
-    dtype_factor = W.dtype_cycle_factor(p.dtype)
-    item = p.dtype.itemsize
-    l2 = device.spec.l2_bytes
-    bitmap_words = -(-n * B // 32)
-    total = int(row_deg.sum())
-    gathers = contrib_per_row * B * dtype_factor
-    stats = KernelStats(
-        name="pullcsc_spmm_scatter",
-        threads=csc.n_rows,
-        warp_cycles=W.divergent_warp_cycles(
-            row_deg * _PROBE_CYCLES + gathers * _GATHER_CYCLES,
-            base_cycles=_BASE_CYCLES,
-        )
-        + W.uniform_warp_cycles(n * B, _BITMAP_BUILD_CYCLES),
-        dram_read_bytes=(
-            2 * W.coalesced_transactions(csc.n_rows)
-            + int(np.sum((row_deg + 7) // 8))
-            + W.capped_random_transactions(total, bitmap_words, 4, l2_bytes=l2)
-            + W.scalar_gather_transactions(n_contrib, n, item, lanes=B, l2_bytes=l2)
-            + W.coalesced_transactions(n * B, item)
-            + W.coalesced_transactions(bitmap_words)
-        )
-        * W.TRANSACTION_BYTES,
-        # each row's owner stores its B-wide row: coalesced across the warp
-        dram_write_bytes=W.coalesced_transactions(
-            int(np.count_nonzero(contrib_per_row)) * B, item
-        )
-        * W.TRANSACTION_BYTES,
-        requested_load_bytes=(2 * csc.n_rows + 2 * total) * 4
-        + (n * B + n_contrib * B) * item,
-        critical_warp_cycles=W.max_warp_cycles(
-            row_deg * _CRITICAL_PROBE_CYCLES + gathers * _CRITICAL_GATHER_CYCLES
-        ),
-        flops=n_contrib * B,
-    )
-    return p.Y, device.launch(stats, tag=tag)
+    return p.Y, M.launch(device, csc, p, profile, cost, tag)

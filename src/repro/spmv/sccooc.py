@@ -38,53 +38,48 @@ _BASE_CYCLES = 6
 _ACTIVE_CYCLES = 4
 
 
-def _sccooc_stats(
-    cooc: COOCMatrix,
-    p: M.Product,
-    src_idx: np.ndarray,
-    dst_idx: np.ndarray,
-    which: str,
-    n_out: int,
-    name: str,
-    l2_bytes: int,
-) -> KernelStats:
-    """Hardware stats of a gather or scatter scCOOC pass (they differ only
-    in which COOC array is the load index and which is the store index)."""
-    m = cooc.nnz
-    B = p.B
-    item = p.dtype.itemsize
-    df = W.dtype_cycle_factor(p.dtype)
-    n_active = int(p.kept.size)
+def profile(cooc: COOCMatrix, p: M.Product, l2_bytes: int) -> M.Profile:
+    """Exact counts of a gather or scatter scCOOC pass (they differ only in
+    which COOC array is the load index and which is the store index)."""
+    which, src_idx, dst_idx, n_out = (
+        ("col", cooc.col, cooc.row, cooc.n_rows) if p.scatter
+        else ("row", cooc.row, cooc.col, cooc.n_cols))
+    item, B = p.dtype.itemsize, p.B
     dst_active = dst_idx[p.kept]
-    lane_total = int(p.lanes[src_idx[p.kept]].sum())
-    read_txn = (
-        W.coalesced_transactions(m)                                  # src index sweep
-        + cooc.full_gather_transactions(which, item, lanes=B,        # X rows (cached
-                                        l2_bytes=l2_bytes)           # per matrix)
-        + W.gather_transactions(p.kept)                              # sparse dst-index read
+    return M.Profile(
+        **M.shape_of(cooc, p), contrib=int(p.kept.size),
+        lane_hits=int(p.lanes[src_idx[p.kept]].sum()), chain=M.atomic_chain(dst_active),
+        # X rows at every source index (cached per matrix) + the sparse
+        # destination-index read of the active threads
+        gather_txn=cooc.full_gather_transactions(which, item, lanes=B, l2_bytes=l2_bytes)
+        + W.gather_transactions(p.kept),
+        # atomic read-modify-write on Y: one transaction in, one out per
+        # distinct warp segment of the destination rows, L2-merged
+        store_txn=W.cached_gather_transactions(dst_active, item, n_out, lanes=B,
+                                               l2_bytes=l2_bytes),
+        conflicts=W.atomic_conflict_cycles(dst_active),
     )
-    # Atomic read-modify-write on Y: one transaction in, one out per distinct
-    # warp segment of the destination rows, L2-merged across the kernel.
-    write_txn = (
-        W.cached_gather_transactions(dst_active, item, n_out, lanes=B,
-                                     l2_bytes=l2_bytes)
-        if n_active
-        else 0
-    )
+
+
+def cost(q: M.Profile, spec) -> KernelStats:
+    """Hardware stats of a scCOOC pass (gather or scatter alike)."""
+    m, B, df = q.nnz, q.B, W.dtype_cycle_factor(q.dtype)
     return KernelStats(
-        name=name,
+        name="sccooc_spmm_scatter" if q.scatter else "sccooc_spmm",
         threads=m,
         warp_cycles=(
             W.uniform_warp_cycles(m, _BASE_CYCLES)
-            + W.warp_count(lane_total) * _ACTIVE_CYCLES * df
-            + W.atomic_conflict_cycles(dst_active) * df
+            + W.warp_count(q.lane_hits) * _ACTIVE_CYCLES * df
+            + q.conflicts * df
         ),
-        dram_read_bytes=(read_txn + write_txn) * W.TRANSACTION_BYTES,
-        dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
-        requested_load_bytes=(2 * m + n_active + lane_total) * item,
-        serial_updates=int(np.bincount(dst_active).max()) * df if n_active else 0,
+        # coalesced source-index sweep + the gathers, then the atomics
+        dram_read_bytes=(W.coalesced_transactions(m) + q.gather_txn + q.store_txn)
+        * W.TRANSACTION_BYTES,
+        dram_write_bytes=q.store_txn * W.TRANSACTION_BYTES,
+        requested_load_bytes=(2 * m + q.contrib + q.lane_hits) * q.dtype.itemsize,
+        serial_updates=q.chain * df,
         critical_warp_cycles=_BASE_CYCLES + _ACTIVE_CYCLES * B,  # flat per-edge work
-        flops=lane_total,
+        flops=q.lane_hits,
     )
 
 
@@ -104,9 +99,7 @@ def sccooc_spmm(
     """
     X = M.as_frontier_matrix(X, cooc.n_rows)
     p = M.push_product(X, cooc.row, cooc.col, cooc.n_cols, out_dtype)
-    stats = _sccooc_stats(cooc, p, cooc.row, cooc.col, "row", cooc.n_cols,
-                          "sccooc_spmm", device.spec.l2_bytes)
-    return p.Y, device.launch(stats, tag=tag)
+    return p.Y, M.launch(device, cooc, p, profile, cost, tag)
 
 
 def sccooc_spmm_scatter(
@@ -120,6 +113,4 @@ def sccooc_spmm_scatter(
     """Scatter product ``Y = A X`` with the scCOOC kernel (swapped roles of
     the two COOC index arrays); used by the backward stage on digraphs."""
     p = M.scatter_product(cooc, X, out_dtype)
-    stats = _sccooc_stats(cooc, p, cooc.col, cooc.row, "col", cooc.n_rows,
-                          "sccooc_spmm_scatter", device.spec.l2_bytes)
-    return p.Y, device.launch(stats, tag=tag)
+    return p.Y, M.launch(device, cooc, p, profile, cost, tag)

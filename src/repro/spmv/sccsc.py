@@ -48,37 +48,67 @@ _ATOMIC_CYCLES = 2
 _CRITICAL_CYCLES_PER_ENTRY = 12
 
 
-def _sccsc_stats(csc: CSCMatrix, p: M.Product, l2_bytes: int) -> KernelStats:
-    """Hardware stats for a masked thread-per-column gather pass."""
-    B, lanes = p.B, p.lanes
-    item = p.dtype.itemsize
-    df = W.dtype_cycle_factor(p.dtype)
-    n = csc.n_cols
+def profile(csc: CSCMatrix, p: M.Product, l2_bytes: int) -> M.Profile:
+    """Exact counts of a thread-per-column pass over the columns with
+    ``p.lanes > 0`` (the gather's allowed lanes, the scatter's positive ones)."""
+    lanes = p.lanes
     scanned = np.where(lanes > 0, csc.column_counts(), 0).astype(np.int64)
-    total = int(scanned.sum())
-    lane_entries = int((scanned * lanes).sum())
-    extra = lanes - 1  # further lanes per scanned entry (scanned is 0 where lanes is)
+    if p.B == 1:  # one lane: every thread's work is proportional to its scan
+        lane_entries = issue = crit = scanned
+    else:
+        lane_entries = scanned * lanes
+        # per-thread issue and critical-path work as the cost formulas weigh
+        # it (the gather's dtype factor scales every thread alike)
+        df, atomic = (W.dtype_cycle_factor(p.dtype), _ATOMIC_CYCLES) if p.scatter else (1, 0)
+        issue = scanned * (_CYCLES_PER_ENTRY + atomic - df) + lane_entries * df
+        crit = scanned * (_CRITICAL_CYCLES_PER_ENTRY - df) + lane_entries * df
+    (we, wle), (ce, cle) = (M.warp_sums(issue, scanned, lane_entries),
+                            M.at_slowest(crit, scanned, lane_entries))
+    return M.Profile(
+        **M.shape_of(csc, p), scanned=int(scanned.sum()),
+        lines=int(np.sum((scanned + 7) // 8)), frontier_slots=int(lanes.sum()),
+        lane_entries=int(lane_entries.sum()), contrib=int(p.kept.size),
+        written=p.written, chain=M.atomic_chain(csc.row[p.kept]) if p.scatter else 0,
+        warp_entries=we, warp_lane_entries=wle, crit_entries=ce, crit_lane_entries=cle,
+    )
+
+
+expected = M.expected  # the dispatcher's shared fill means what its fields mean
+
+
+def cost(q: M.Profile, spec) -> KernelStats:
+    """Hardware stats of a thread-per-column pass: a masked gather, or a
+    scatter whose scanned entries each add an atomic store."""
+    n, B, item, l2 = q.n_cols, q.B, q.dtype.itemsize, spec.l2_bytes
+    df = W.dtype_cycle_factor(q.dtype)
+    if q.scatter:  # only the further lanes run at the dtype's rate
+        entry, crit_entry = _CYCLES_PER_ENTRY + _ATOMIC_CYCLES - df, _CRITICAL_CYCLES_PER_ENTRY - df
+        # one coalesced B-wide x row per scanned entry; per-lane serial
+        # atomic stores, thrashing-bounded like the gathers
+        x_txn = W.bwide_gather_transactions(q.scanned, B, n, item, l2_bytes=l2)
+        write_txn = W.scalar_gather_transactions(q.contrib, q.n_rows, 4, lanes=B, l2_bytes=l2)
+        lane_loads = q.frontier_slots
+    else:
+        entry, crit_entry = df * (_CYCLES_PER_ENTRY - 1), df * (_CRITICAL_CYCLES_PER_ENTRY - 1)
+        # one uncoalesced B-wide x row per scanned entry
+        x_txn = W.scalar_gather_transactions(q.scanned, q.n_rows, item, lanes=B, l2_bytes=l2)
+        write_txn = q.written * W.coalesced_transactions(B, q.out_dtype.itemsize)
+        lane_loads = q.lane_entries
     return KernelStats(
-        name="sccsc_spmm",
+        name="sccsc_spmm_scatter" if q.scatter else "sccsc_spmm",
         threads=n,
-        warp_cycles=W.divergent_warp_cycles(
-            scanned * (_CYCLES_PER_ENTRY + extra) * df, base_cycles=_BASE_CYCLES
-        ),
-        dram_read_bytes=(
-            2 * W.coalesced_transactions(n)
-            # per-lane sequential scans: ~ceil(deg / 8) L1-line fills for
-            # row_A, one uncoalesced B-wide x row per scanned entry
-            + int(np.sum((scanned + 7) // 8))
-            + W.scalar_gather_transactions(total, csc.n_rows, item, lanes=B,
-                                           l2_bytes=l2_bytes)
-        ) * W.TRANSACTION_BYTES,
-        dram_write_bytes=p.written * W.coalesced_transactions(B, p.out_dtype.itemsize)
+        # a warp retires at its slowest lane: divergence-weighted entries
+        warp_cycles=entry * q.warp_entries + df * q.warp_lane_entries
+        + _BASE_CYCLES * W.warp_count(n),
+        # per-lane sequential scans: ~ceil(deg / 8) L1-line fills for row_A
+        dram_read_bytes=(2 * W.coalesced_transactions(n) + q.lines + x_txn)
         * W.TRANSACTION_BYTES,
-        requested_load_bytes=(2 * n + total) * 4 + lane_entries * item,
-        critical_warp_cycles=W.max_warp_cycles(
-            scanned * (_CRITICAL_CYCLES_PER_ENTRY + extra) * df
-        ),
-        flops=lane_entries,
+        dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
+        requested_load_bytes=(2 * n + q.scanned) * 4 + lane_loads * item,
+        # longest same-address atomic chain: a row's contributing entries
+        serial_updates=q.chain if q.scatter else 0,
+        critical_warp_cycles=crit_entry * q.crit_entries + df * q.crit_lane_entries,
+        flops=q.lane_entries,
     )
 
 
@@ -99,7 +129,7 @@ def sccsc_spmm(
     (the unmasked product of the backward stage on undirected graphs).
     """
     p = M.gather_product(csc, X, allowed, out_dtype)
-    return p.Y, device.launch(_sccsc_stats(csc, p, device.spec.l2_bytes), tag=tag)
+    return p.Y, M.launch(device, csc, p, profile, cost, tag)
 
 
 def sccsc_spmm_scatter(
@@ -118,37 +148,4 @@ def sccsc_spmm_scatter(
     compare.
     """
     p = M.scatter_product(csc, X, out_dtype)
-    B, lanes = p.B, p.lanes
-    item = p.dtype.itemsize
-    df = W.dtype_cycle_factor(p.dtype)
-    l2 = device.spec.l2_bytes
-    n = csc.n_cols
-    scanned = np.where(lanes > 0, csc.column_counts(), 0).astype(np.int64)
-    total = int(scanned.sum())
-    extra = (lanes - 1) * df  # further lanes per scanned entry
-    rows = csc.row[p.kept]
-    stats = KernelStats(
-        name="sccsc_spmm_scatter",
-        threads=n,
-        warp_cycles=W.divergent_warp_cycles(
-            scanned * (_CYCLES_PER_ENTRY + _ATOMIC_CYCLES + extra),
-            base_cycles=_BASE_CYCLES,
-        ),
-        dram_read_bytes=(
-            2 * W.coalesced_transactions(n)
-            + int(np.sum((scanned + 7) // 8))
-            + W.bwide_gather_transactions(total, B, n, item, l2_bytes=l2)
-        ) * W.TRANSACTION_BYTES,
-        # per-lane serial atomic stores, thrashing-bounded like the gathers
-        dram_write_bytes=W.scalar_gather_transactions(
-            int(rows.size), csc.n_rows, 4, lanes=B, l2_bytes=l2
-        ) * W.TRANSACTION_BYTES,
-        requested_load_bytes=(2 * n + total) * 4 + int(lanes.sum()) * item,
-        # longest same-address atomic chain: a row's contributing entries
-        serial_updates=int(np.bincount(rows).max()) if rows.size else 0,
-        critical_warp_cycles=W.max_warp_cycles(
-            scanned * (_CRITICAL_CYCLES_PER_ENTRY + extra)
-        ),
-        flops=int((scanned * lanes).sum()),
-    )
-    return p.Y, device.launch(stats, tag=tag)
+    return p.Y, M.launch(device, csc, p, profile, cost, tag)

@@ -61,70 +61,70 @@ def stripe_any(mask: np.ndarray, tile: int = W.MMA_TILE) -> np.ndarray:
     return mask.reshape(-1, tile).any(axis=1)
 
 
-def _tc_stats(
-    csc: CSCMatrix,
-    row_stripe_ok: np.ndarray,
-    col_stripe_ok: np.ndarray,
-    B: int,
-    x_dtype,
-    write_txn: int,
-    n_flops: int,
-    name: str,
-    l2_bytes: int,
-    *,
-    chain_axis: str,
-    masked: bool,
-) -> KernelStats:
-    """Hardware stats for a blocked tensor-core pass over the active tiles.
-
-    ``chain_axis`` names the output-stripe axis ("col" for gather products,
-    "row" for scatter): tiles sharing an output stripe commit their
-    C-fragments in sequence, which is the kernel's critical path.
-    """
+def tile_stats(csc: CSCMatrix, row_ok: np.ndarray, col_ok: np.ndarray,
+               chain_axis: str = "col") -> dict:
+    """The active-tile :class:`~repro.spmv.Profile` fields: the occupied
+    tiles with a row stripe in ``row_ok`` and a column stripe in ``col_ok``,
+    their entries, the fullest one and the longest commit chain -- tiles
+    sharing an output stripe (``chain_axis``: "col" for a gather, "row"
+    for a scatter) commit their C-fragments in sequence.  One O(n + tiles)
+    reduction over the cached tile directory."""
     t_row, t_col, t_cnt = csc.tile_plan(W.MMA_TILE)
-    if t_row.size:
-        active = col_stripe_ok[t_col] & row_stripe_ok[t_row]
-    else:
-        active = np.zeros(0, dtype=bool)
-    n_active = int(np.count_nonzero(active))
-    nnz_active = int(t_cnt[active].sum()) if n_active else 0
-    max_tile = int(t_cnt[active].max()) if n_active else 0
+    active = np.flatnonzero(col_ok[t_col] & row_ok[t_row])
+    if not active.size:
+        return dict(tiles=t_row.size)
+    cnt = t_cnt[active]
     chain_of = t_col if chain_axis == "col" else t_row
-    chain = int(np.bincount(chain_of[active]).max()) if n_active else 0
-
-    mma_per_tile = -(-B // W.MMA_TILE)
-    mma_ops = W.mma_ops_for_tiles(n_active, B)
-    item = np.dtype(x_dtype).itemsize
-    n = csc.n_cols
-
-    dir_txn = W.coalesced_transactions(3 * t_row.size)
-    ent_txn = W.coalesced_transactions(nnz_active)
-    x_txn = W.bwide_gather_transactions(
-        n_active * W.MMA_TILE, B, csc.n_rows, item, l2_bytes=l2_bytes
+    return dict(
+        tiles=t_row.size, tiles_active=active.size, tile_entries=int(cnt.sum()),
+        tile_max=int(cnt.max()), tile_chain=int(np.bincount(chain_of[active]).max()),
     )
-    mask_txn = W.coalesced_transactions(n * B) if masked else 0
-    stripe_txn = W.coalesced_transactions(csc.n_rows) + W.coalesced_transactions(n)
 
-    warp_cycles = (
-        n_active * (_TILE_BASE_CYCLES + mma_per_tile * _MMA_ISSUE_CYCLES)
-        + nnz_active * _DECODE_CYCLES
+
+def profile(csc: CSCMatrix, p: M.Product, l2_bytes: int) -> M.Profile:
+    """Exact counts of a blocked pass.  The gather prunes tiles by the
+    frontier's row stripes and the mask's column stripes; the scatter
+    multiplies un-transposed, every tile with an active column stripe."""
+    col_ok = stripe_any(p.lanes > 0)
+    if p.scatter:
+        row_ok = np.ones(-(-csc.n_rows // W.MMA_TILE), dtype=bool)
+    else:
+        row_ok = stripe_any(M.any_lane(p.X > 0))
+    return M.Profile(
+        **M.shape_of(csc, p), written=p.written,
+        lane_hits=int(p.lanes[csc.column_of_nnz()[p.kept]].sum()),
+        **tile_stats(csc, row_ok, col_ok, "row" if p.scatter else "col"),
     )
-    critical = (
-        chain * (_TILE_BASE_CYCLES + mma_per_tile * _MMA_ISSUE_CYCLES)
-        + max_tile * _DECODE_CYCLES
-    )
+
+
+expected = M.expected  # the dispatcher's shared fill means what its fields mean
+
+
+def cost(q: M.Profile, spec) -> KernelStats:
+    """Hardware stats of a blocked pass over the active tiles (gather or
+    scatter alike)."""
+    B, item, n = q.B, q.dtype.itemsize, q.n_cols
+    per_tile = _TILE_BASE_CYCLES + -(-B // W.MMA_TILE) * _MMA_ISSUE_CYCLES
+    mask_words = n * B if q.masked else 0
     return KernelStats(
-        name=name,
-        threads=n_active * W.WARP_SIZE,
-        warp_cycles=warp_cycles,
-        dram_read_bytes=(dir_txn + ent_txn + x_txn + mask_txn + stripe_txn)
+        name="tcspmm_spmm_scatter" if q.scatter else "tcspmm_spmm",
+        threads=q.tiles_active * W.WARP_SIZE,
+        warp_cycles=q.tiles_active * per_tile + q.tile_entries * _DECODE_CYCLES,
+        dram_read_bytes=(
+            W.coalesced_transactions(3 * q.tiles)           # tile directory
+            + W.coalesced_transactions(q.tile_entries)      # decoded entries
+            + W.bwide_gather_transactions(q.tiles_active * W.MMA_TILE, B, q.n_rows,
+                                          item, l2_bytes=spec.l2_bytes)
+            + W.coalesced_transactions(mask_words)
+            + W.coalesced_transactions(q.n_rows) + W.coalesced_transactions(n)
+        ) * W.TRANSACTION_BYTES,
+        dram_write_bytes=q.written * W.coalesced_transactions(B, q.out_dtype.itemsize)
         * W.TRANSACTION_BYTES,
-        dram_write_bytes=write_txn * W.TRANSACTION_BYTES,
-        requested_load_bytes=(3 * t_row.size + nnz_active + (n * B if masked else 0)) * 4
-        + n_active * W.MMA_TILE * B * item,
-        critical_warp_cycles=critical,
-        flops=n_flops,
-        mma_ops=mma_ops,
+        requested_load_bytes=(3 * q.tiles + q.tile_entries + mask_words) * 4
+        + q.tiles_active * W.MMA_TILE * B * item,
+        critical_warp_cycles=q.tile_chain * per_tile + q.tile_max * _DECODE_CYCLES,
+        flops=q.lane_hits,
+        mma_ops=W.mma_ops_for_tiles(q.tiles_active, B),
     )
 
 
@@ -147,16 +147,7 @@ def tcspmm_spmm(
     ``tcspmm`` algorithm and the conformance configs run it everywhere.
     """
     p = M.gather_product(csc, X, allowed, out_dtype)
-    B = p.B
-    write_txn = p.written * W.coalesced_transactions(B, p.out_dtype.itemsize)
-    active_rows = M.any_lane(p.X > 0)
-    n_flops = int(p.lanes[csc.column_of_nnz()[p.kept]].sum())
-    stats = _tc_stats(
-        csc, stripe_any(active_rows), stripe_any(p.lanes > 0), B, p.dtype,
-        write_txn, n_flops, "tcspmm_spmm", device.spec.l2_bytes,
-        chain_axis="col", masked=p.masked,
-    )
-    return p.Y, device.launch(stats, tag=tag)
+    return p.Y, M.launch(device, csc, p, profile, cost, tag)
 
 
 def tcspmm_spmm_scatter(
@@ -170,13 +161,4 @@ def tcspmm_spmm_scatter(
     """Scatter product ``Y = A X`` on the blocked path: tiles with an active
     column stripe multiply un-transposed, committing into row stripes."""
     p = M.scatter_product(csc, X, out_dtype)
-    B = p.B
-    write_txn = p.written * W.coalesced_transactions(B, p.out_dtype.itemsize)
-    n_flops = int(p.lanes[csc.column_of_nnz()[p.kept]].sum())
-    n_tile_rows = -(-csc.n_rows // W.MMA_TILE)
-    stats = _tc_stats(
-        csc, np.ones(n_tile_rows, dtype=bool), stripe_any(p.lanes > 0), B,
-        p.dtype, write_txn, n_flops, "tcspmm_spmm_scatter",
-        device.spec.l2_bytes, chain_axis="row", masked=False,
-    )
-    return p.Y, device.launch(stats, tag=tag)
+    return p.Y, M.launch(device, csc, p, profile, cost, tag)

@@ -20,6 +20,8 @@ runs one shuffle reduction per lane.  ``B = 1`` is the paper's SpMV.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.formats.csc import CSCMatrix
@@ -37,56 +39,71 @@ _CYCLES_PER_STRIP = 4
 _SHUFFLE_CYCLES = 10
 
 
-def _veccsc_stats(
-    csc: CSCMatrix,
-    p: M.Product,
-    sel_rows: np.ndarray,
-    n_written: int,
-    name: str,
-    l2_bytes: int,
-    x_txn: int | None = None,
-    serial_updates: int = 0,
-) -> KernelStats:
-    """Hardware stats for a warp-per-column pass over the columns with
-    ``p.lanes > 0``.
-
-    ``sel_rows`` is the concatenation of the processed columns' row indices
-    in storage order, which is exactly the per-warp access sequence of the
-    B-wide frontier-row gather (strip boundaries align with columns up to
-    one extra transaction per column, counted with ``row_A``).
-    """
-    n = csc.n_cols
-    B, lanes = p.B, p.lanes
-    df = W.dtype_cycle_factor(p.dtype)
+def profile(csc: CSCMatrix, p: M.Product, l2_bytes: int) -> M.Profile:
+    """Exact counts of a warp-per-column pass over the columns with
+    ``p.lanes > 0``: each warp steps through its column's 32-entry strips."""
+    lanes = p.lanes
     scanned = np.where(lanes > 0, csc.column_counts(), 0).astype(np.int64)
     strips = (scanned + W.WARP_SIZE - 1) // W.WARP_SIZE
-    total = int(scanned.sum())
+    lane_strips = strips * lanes
     active = scanned > 0
-    per_strip = _CYCLES_PER_STRIP + lanes - 1  # strips is 0 where lanes is
-    warp_cycles = int(
-        n * _BASE_CYCLES
-        + (strips * per_strip * df).sum()
-        + int(lanes[active].sum()) * _SHUFFLE_CYCLES * df
+    rows = csc.row[p.kept]
+    if p.scatter:
+        # the atomic adds into the contributing entries' B-wide Y rows
+        txn = W.cached_gather_transactions(rows, p.dtype.itemsize, csc.n_rows,
+                                           lanes=p.B, l2_bytes=l2_bytes)
+    elif p.masked:
+        # the B-wide frontier rows of the processed columns, in storage order
+        sel_rows = csc.row[(lanes > 0)[csc.column_of_nnz()]]
+        txn = W.cached_gather_transactions(sel_rows, p.dtype.itemsize, csc.n_rows,
+                                           lanes=p.B, l2_bytes=l2_bytes)
+    else:
+        # the unmasked backward product gathers through all of row_A
+        txn = csc.full_gather_transactions(p.dtype.itemsize, lanes=p.B,
+                                           l2_bytes=l2_bytes)
+    ce, cle = M.at_slowest(strips * (_CYCLES_PER_STRIP - 1) + lane_strips,
+                           strips, lane_strips)
+    return M.Profile(
+        **M.shape_of(csc, p), scanned=int(scanned.sum()),
+        lines=int(np.sum((scanned + 7) // 8)), active_threads=int(active.sum()),
+        lanes=int(lanes[active].sum()), lane_entries=int((scanned * lanes).sum()),
+        contrib=int(rows.size), written=p.written,
+        chain=M.atomic_chain(rows) if p.scatter else 0,
+        warp_entries=int(strips.sum()), warp_lane_entries=int(lane_strips.sum()),
+        crit_entries=ce, crit_lane_entries=cle, gather_txn=txn,
     )
-    # row_A loads coalesce within the warp: ~8 words per transaction, plus
-    # one boundary transaction per non-empty column.
-    row_txn = int(np.sum((scanned + 7) // 8)) + int(active.sum())
-    if x_txn is None:
-        x_txn = W.cached_gather_transactions(sel_rows, p.dtype.itemsize, csc.n_rows,
-                                             lanes=B, l2_bytes=l2_bytes)
-    lane_entries = int((scanned * lanes).sum())
+
+
+def expected(csc, q: M.Profile, lv, *, divergence: float, l2_bytes: int) -> M.Profile:
+    """Expected counts from the dispatcher's shared fill ``q``: the warps
+    step through the processed columns' ``lv.strips`` strips at the mean
+    lanes per column, the slowest through the largest column's."""
+    L, top = q.lanes / max(q.active_threads, 1), -(-q.crit_entries // W.WARP_SIZE)
+    return replace(q, warp_entries=lv.strips, warp_lane_entries=lv.strips * L,
+                   crit_entries=top, crit_lane_entries=top * L)
+
+
+def cost(q: M.Profile, spec) -> KernelStats:
+    """Hardware stats of a warp-per-column pass; a scatter's atomic stores
+    serialise along the longest row chain."""
+    n, B, df = q.n_cols, q.B, W.dtype_cycle_factor(q.dtype)
     return KernelStats(
-        name=name,
+        name="veccsc_spmm_scatter" if q.scatter else "veccsc_spmm",
         threads=32 * n,
-        warp_cycles=warp_cycles,
-        dram_read_bytes=(2 * W.coalesced_transactions(n) + row_txn + x_txn)
-        * W.TRANSACTION_BYTES,
-        dram_write_bytes=W.bwide_gather_transactions(n_written, B, n, 4)
-        * W.TRANSACTION_BYTES,
-        requested_load_bytes=(2 * n + total) * 4 + lane_entries * p.dtype.itemsize,
-        serial_updates=serial_updates,
-        critical_warp_cycles=W.max_warp_cycles(strips * per_strip * 4 * df),
-        flops=lane_entries,
+        warp_cycles=n * _BASE_CYCLES
+        + df * ((_CYCLES_PER_STRIP - 1) * q.warp_entries + q.warp_lane_entries)
+        + q.lanes * _SHUFFLE_CYCLES * df,
+        # row_A loads coalesce within the warp: ~8 words per transaction,
+        # plus one boundary transaction per non-empty column
+        dram_read_bytes=(2 * W.coalesced_transactions(n) + q.lines + q.active_threads
+                         + q.gather_txn) * W.TRANSACTION_BYTES,
+        dram_write_bytes=W.bwide_gather_transactions(
+            q.contrib if q.scatter else q.written, B, n, 4) * W.TRANSACTION_BYTES,
+        requested_load_bytes=(2 * n + q.scanned) * 4 + q.lane_entries * q.dtype.itemsize,
+        serial_updates=q.chain if q.scatter else 0,
+        critical_warp_cycles=4 * df * (
+            (_CYCLES_PER_STRIP - 1) * q.crit_entries + q.crit_lane_entries),
+        flops=q.lane_entries,
     )
 
 
@@ -106,17 +123,7 @@ def veccsc_spmm(
     hub columns).
     """
     p = M.gather_product(csc, X, allowed, out_dtype)
-    l2 = device.spec.l2_bytes
-    if p.masked:
-        sel_rows = csc.row[(p.lanes > 0)[csc.column_of_nnz()]]
-        x_txn = None
-    else:
-        # the unmasked backward product gathers through all of row_A
-        sel_rows = csc.row
-        x_txn = csc.full_gather_transactions(p.dtype.itemsize, lanes=p.B,
-                                             l2_bytes=l2)
-    stats = _veccsc_stats(csc, p, sel_rows, p.written, "veccsc_spmm", l2, x_txn=x_txn)
-    return p.Y, device.launch(stats, tag=tag)
+    return p.Y, M.launch(device, csc, p, profile, cost, tag)
 
 
 def veccsc_spmm_scatter(
@@ -134,8 +141,4 @@ def veccsc_spmm_scatter(
     stage on digraphs.
     """
     p = M.scatter_product(csc, X, out_dtype)
-    rows = csc.row[p.kept]
-    serial = int(np.bincount(rows).max()) if rows.size else 0
-    stats = _veccsc_stats(csc, p, rows, int(rows.size), "veccsc_spmm_scatter",
-                          device.spec.l2_bytes, serial_updates=serial)
-    return p.Y, device.launch(stats, tag=tag)
+    return p.Y, M.launch(device, csc, p, profile, cost, tag)

@@ -16,7 +16,7 @@ from repro.baselines.brandes import brandes_bc
 from repro.conformance.golden import ATOL, RTOL, iter_golden
 from repro.core.approx import approximate_bc
 from repro.core.bc import _auto_batch_size, select_algorithm, turbo_bc
-from repro.core.dispatch import STRATEGIES, AdaptiveDispatcher
+from repro.core.dispatch import STRATEGIES, STRATEGY_KERNELS, AdaptiveDispatcher
 from repro.graphs.graph import Graph
 from repro.graphs.metrics import bfs_levels
 from repro.gpusim.device import Device, DeviceSpec
@@ -307,3 +307,65 @@ class TestOverflowBatchAdmission:
         res = turbo_bc(g, batch_size=4, forward_dtype="auto")
         assert res.stats.rerun_sources  # the root lane overflowed
         assert_bc_close(res.bc, brandes_bc(g), rtol=1e-6, atol=1e-9)
+
+
+class TestOneCostFormula:
+    """The dispatcher prices with the launch's own cost formulas: fed a
+    launch's *exact* profile, its price is that launch's ``exec_time_s``
+    to the bit, for every strategy x product x batch width -- so dispatch
+    drift is profile-estimation error only."""
+
+    @pytest.mark.parametrize("B", [1, 4, 16])
+    @pytest.mark.parametrize("name", ["petersen", "lollipop-4-3", "asym-digraph"])
+    def test_exact_profile_prices_to_the_launch(self, name, B):
+        from repro import spmv
+        from repro.conformance.golden import golden_dir, load_golden_case
+        from repro.spmv._spmm import gather_product, scatter_product
+
+        graph, _, _ = load_golden_case(golden_dir() / f"{name}.json")
+        csc = graph.to_csc()
+        rng = np.random.default_rng(B)
+        shape = (graph.n, B)
+        F = (rng.integers(1, 4, shape) * (rng.random(shape) < 0.4)).astype(np.int32)
+        D = ((rng.random(shape) + 0.5) * (rng.random(shape) < 0.5)).astype(np.float32)
+        allowed = rng.random(shape) < 0.5
+        spec = DeviceSpec()
+        disp = AdaptiveDispatcher(csc, spec)
+        products = [
+            (False, F, allowed),   # forward: masked int32 gather
+            (False, D, None),      # backward, undirected: unmasked gather
+            (True, D, None),       # backward, digraphs: scatter
+        ]
+        for scatter, X, mask in products:
+            p = scatter_product(csc, X) if scatter else gather_product(csc, X, mask)
+            for k in STRATEGIES:
+                kernel = "edgecsc" if k == "sccooc" else k
+                fn = getattr(spmv, kernel + ("_spmm_scatter" if scatter else "_spmm"))
+                kw = {} if mask is None else {"allowed": mask}
+                _, launch = fn(Device(spec), csc, X, **kw)
+                q = STRATEGY_KERNELS[k].profile(csc, p, spec.l2_bytes)
+                price = disp.price_profiles({k: q})[k]
+                assert price == launch.exec_time_s, (name, B, k, scatter)
+
+    def test_digraph_backward_is_priced_by_scatter_costs(self):
+        """On a digraph every backward candidate is priced by its scatter
+        formula, and the audit measures every candidate."""
+        from repro.conformance.golden import golden_dir, load_golden_case
+
+        graph, _, _ = load_golden_case(golden_dir() / "asym-digraph.json")
+        with obs.session(audit_dispatch=True) as tel:
+            turbo_bc(graph, algorithm="adaptive")
+        backward = [d for d in tel.dispatch_decisions if d.stage == "backward"]
+        assert backward
+        csc, spec = graph.to_csc(), DeviceSpec()
+        disp = AdaptiveDispatcher(csc, spec, scatter_backward=True)
+        X = np.zeros((graph.n, 1), dtype=np.float32)
+        X[: graph.n // 2] = 1.0
+        disp.choose_backward_batch(X)
+        lv = disp.level_stats(X, scatter=True)
+        want = {k: round(v * 1e6, 3) for k, v in disp.price(lv).items()}
+        assert disp.last.est_us == want
+        gather = disp.price(disp.level_stats(X))
+        assert disp.price(lv) != gather
+        for d in backward:
+            assert set(d.measured_us) == set(STRATEGIES)

@@ -107,6 +107,15 @@ class TestDivergence:
         with pytest.raises(ValueError):
             W.divergent_warp_cycles(np.array([-1]))
 
+    @pytest.mark.parametrize("size", [0, 1, 31, 32, 33, 200])
+    def test_slowest_lanes_sum_to_divergent_cycles(self, size):
+        """The cost models split divergent issue time at each warp's slowest
+        lane: summing the work there reproduces divergent_warp_cycles."""
+        w = np.random.default_rng(size).integers(0, 50, size)
+        idx = W.slowest_per_warp(w)
+        assert idx.size == -(-size // 32)
+        assert int(w[idx].sum()) == W.divergent_warp_cycles(w)
+
 
 class TestUniformAndAtomic:
     def test_uniform_warp_cycles(self):

@@ -26,7 +26,7 @@ from repro.obs.roofline import (
     roofline_report,
 )
 from repro.spmv._spmm import gather_product
-from repro.spmv.sccsc import _sccsc_stats, sccsc_spmm
+from repro.spmv.sccsc import cost, profile, sccsc_spmm
 from tests.conftest import random_graph
 
 
@@ -48,7 +48,8 @@ class TestCounters:
         x[0] = 1
         allowed = np.ones((g.n, 1), dtype=bool)
         _, launch = sccsc_spmm(dev, csc, x, allowed=allowed)
-        expected = _sccsc_stats(csc, gather_product(csc, x, allowed), dev.spec.l2_bytes)
+        p = gather_product(csc, x, allowed)
+        expected = cost(profile(csc, p, dev.spec.l2_bytes), dev.spec)
         c = counters_for_launch(launch, dev.spec)
         assert c.dram_read_bytes == expected.dram_read_bytes
         assert c.dram_write_bytes == expected.dram_write_bytes

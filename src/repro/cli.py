@@ -34,9 +34,9 @@ Three subcommands cover the workflows a user reaches for first:
   improvements.
 
 ``--log-level`` configures structured :mod:`logging` for every subcommand
-(progress and diagnostics go to the log, results to stdout).  Usage errors
-(missing files, unknown graphs, conflicting export targets) exit 2 with a
-one-line message on stderr.
+(progress and diagnostics go to the log, results to stdout).  Usage and
+input errors (missing files, unknown graphs, conflicting export targets, a
+graph file that does not parse) exit 2 with a one-line message on stderr.
 """
 
 from __future__ import annotations
@@ -72,9 +72,12 @@ def _load_graph(spec: str):
     if spec.endswith((".mtx", ".txt", ".edges", ".el")):
         if not os.path.exists(spec):
             raise CLIError(f"graph file not found: {spec}")
-        if spec.endswith(".mtx"):
-            return io.read_matrix_market(spec)
-        return io.read_edge_list(spec)
+        try:
+            if spec.endswith(".mtx"):
+                return io.read_matrix_market(spec)
+            return io.read_edge_list(spec)
+        except io.GraphFormatError as exc:
+            raise CLIError(str(exc)) from None
     try:
         entry = suite.get(spec)
     except KeyError:

@@ -34,6 +34,18 @@ def as_index_array(values, *, name: str) -> np.ndarray:
     return arr.astype(INDEX_DTYPE, copy=False)
 
 
+def build_row_index(row: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The column-major entries grouped by row: ``(row_ptr, order)``.
+
+    ``order[row_ptr[r] : row_ptr[r + 1]]`` are the storage positions of row
+    ``r``'s entries, ascending (a stable sort keeps storage order within a
+    row).  Both arrays are int32: 4 bytes per entry plus 4 per row.
+    """
+    row_ptr = np.zeros(n_rows + 1, dtype=INDEX_DTYPE)
+    np.cumsum(np.bincount(row, minlength=n_rows), out=row_ptr[1:])
+    return row_ptr, np.argsort(row, kind="stable").astype(INDEX_DTYPE)
+
+
 class BinaryMatrixBase:
     """Common interface shared by COOC/CSC/CSR matrices.
 

@@ -83,10 +83,7 @@ def edges_to_csr(src, dst, n: int, *, drop_self_loops: bool = True) -> CSRMatrix
 
 def cooc_to_csc(mat: COOCMatrix) -> CSCMatrix:
     """Compress a COOC matrix's column array into column pointers."""
-    counts = np.bincount(mat.col, minlength=mat.n_cols)
-    col_ptr = np.zeros(mat.n_cols + 1, dtype=np.int64)
-    np.cumsum(counts, out=col_ptr[1:])
-    return CSCMatrix(col_ptr, mat.row.copy(), mat.shape, _skip_checks=True)
+    return CSCMatrix(mat.col_ptr.copy(), mat.row.copy(), mat.shape, _skip_checks=True)
 
 
 def csc_to_cooc(mat: CSCMatrix) -> COOCMatrix:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.formats.base import BinaryMatrixBase, INDEX_DTYPE, as_index_array
+from repro.formats.base import BinaryMatrixBase, INDEX_DTYPE, as_index_array, build_row_index
 
 
 class COOMatrix(BinaryMatrixBase):
@@ -69,6 +69,11 @@ class COOCMatrix(BinaryMatrixBase):
     * ``col`` is non-decreasing;
     * ``row`` is strictly increasing within each column run (entries are
       unique -- a binary matrix has no duplicates).
+
+    Like :class:`~repro.formats.csc.CSCMatrix`, a matrix lazily caches
+    host-side plans derived from its two arrays (:attr:`col_ptr`,
+    :meth:`row_index`, ...), never charged to the device budget and keyed
+    on object identity: an edit builds a new matrix with its own plans.
     """
 
     def __init__(
@@ -92,6 +97,8 @@ class COOCMatrix(BinaryMatrixBase):
             )
         self._txn_cache: dict = {}
         self._col_counts: np.ndarray | None = None
+        self._col_ptr: np.ndarray | None = None
+        self._row_index: tuple[np.ndarray, np.ndarray] | None = None
         if not _skip_checks:
             self._validate()
 
@@ -140,6 +147,27 @@ class COOCMatrix(BinaryMatrixBase):
         array itself (the same accessor as :meth:`CSCMatrix.column_of_nnz`,
         so the kernels' numerics read both formats alike)."""
         return self.col
+
+    @property
+    def col_ptr(self) -> np.ndarray:
+        """Column ``c``'s entries are storage positions ``col_ptr[c] ..
+        col_ptr[c + 1] - 1``: the CSC column pointer, derived from the sorted
+        ``col`` array (host-side, 4 bytes per column).  Cached (do not mutate).
+        """
+        if self._col_ptr is None:
+            ptr = np.zeros(self.n_cols + 1, dtype=INDEX_DTYPE)
+            np.cumsum(self.column_counts(), out=ptr[1:])
+            self._col_ptr = ptr
+        return self._col_ptr
+
+    def row_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stored entries grouped by row, ``(row_ptr, order)``; see
+        :meth:`repro.formats.csc.CSCMatrix.row_index` (the same host-side
+        int32 plan: 4 bytes per entry + 4 per row).  Cached (do not mutate).
+        """
+        if self._row_index is None:
+            self._row_index = build_row_index(self.row, self.n_rows)
+        return self._row_index
 
     def row_counts(self) -> np.ndarray:
         """Out-degree of each row."""

@@ -15,11 +15,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.formats.base import BinaryMatrixBase, INDEX_DTYPE, as_index_array
+from repro.formats.base import BinaryMatrixBase, INDEX_DTYPE, as_index_array, build_row_index
 
 
 class CSCMatrix(BinaryMatrixBase):
-    """Binary sparse matrix in CSC layout."""
+    """Binary sparse matrix in CSC layout.
+
+    Besides the device arrays, a matrix lazily caches host-side traversal
+    plans derived from them (:meth:`column_of_nnz`, :meth:`row_index`,
+    :meth:`tile_plan`, ...).  None is charged to the ``7n + 1 + m`` device
+    budget, and all are keyed on object identity: an edit builds a new
+    matrix (see :attr:`version`), which builds its own plans.
+    """
 
     def __init__(
         self,
@@ -43,6 +50,7 @@ class CSCMatrix(BinaryMatrixBase):
         self._col_of_nnz: np.ndarray | None = None
         self._col_counts: np.ndarray | None = None
         self._row_counts: np.ndarray | None = None
+        self._row_index: tuple[np.ndarray, np.ndarray] | None = None
         self._tile_plans: dict = {}
         self._txn_cache: dict = {}
         if not _skip_checks:
@@ -117,6 +125,20 @@ class CSCMatrix(BinaryMatrixBase):
             self._row_counts = np.bincount(
                 self.row, minlength=self.n_rows).astype(np.int64)
         return self._row_counts
+
+    def row_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stored entries grouped by row, ``(row_ptr, order)``:
+        ``order[row_ptr[r] : row_ptr[r + 1]]`` are the storage positions of
+        row ``r``'s entries, ascending.
+
+        A host-side plan (int32: 4 bytes per entry + 4 per row), never
+        charged to the device budget.  Cached (do not mutate): the gather
+        products find a frontier's contributing entries through it every
+        level.
+        """
+        if self._row_index is None:
+            self._row_index = build_row_index(self.row, self.n_rows)
+        return self._row_index
 
     def tile_plan(self, tile: int = 16) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Blocked tiling directory ``(tile_row, tile_col, tile_nnz)``.

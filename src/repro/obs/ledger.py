@@ -39,8 +39,10 @@ Consumers: ``repro history`` (filter/format/tail), ``repro slo-check``
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
+import os
 import pathlib
 
 import numpy as np
@@ -216,18 +218,29 @@ class Ledger:
 
     Appends are one ``json.dumps(..., sort_keys=True)`` line each --
     crash-tolerant (a torn final line is skipped on read with a warning
-    count, never a parse abort) and trivially greppable/`jq`-able.
+    count, never a parse abort), safe under concurrent writers (see
+    :meth:`append`) and trivially greppable/`jq`-able.
     """
 
     def __init__(self, path):
         self.path = pathlib.Path(path)
 
     def append(self, record: dict) -> dict:
+        """Append ``record`` as one line: the whole line goes out in one
+        ``os.write`` on an ``O_APPEND`` descriptor under an exclusive
+        ``flock``, so concurrent writers -- processes or threads -- never
+        interleave their lines."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
         line = json.dumps(record, sort_keys=True, separators=(",", ":"),
                           default=str)
-        with open(self.path, "a") as fh:
-            fh.write(line + "\n")
+        data = memoryview((line + "\n").encode())
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            while data:  # a regular file takes it all at once; loop on a short write
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)  # releases the lock
         return record
 
     def records(self) -> list[dict]:

@@ -14,10 +14,19 @@ cost model, never in their results, so the numerics live here once:
   reduceat`` would not do: its float64 inner loop sums pairwise for
   segments longer than a few entries and rounds differently on real-valued
   backward frontiers);
-* entries whose source row is all-zero are dropped *before* the value
-  matrix is built: adding an exact zero to a float64 accumulation is a
-  bit-exact no-op, and frontiers are zero almost everywhere, so the
-  per-level working set is O(contributing entries x B), not O(nnz x B);
+* only the entries of non-zero source rows contribute (adding an exact
+  zero to a float64 accumulation is a bit-exact no-op), and :func:`entries`
+  finds them through a compressed index on the source side instead of
+  scanning all ``m``: a scatter's sources are columns, whose entries are
+  their ``col_ptr`` ranges; a gather's are rows, whose entries the
+  matrix's cached ``row_index()`` lists.  A level costs O(frontier rows +
+  their entries + k log k) for k contributing entries, and its working set
+  is O(k x B), not O(nnz);
+* ``kept``, the contributing entries' storage positions, is ascending --
+  exactly the positions a full scan in storage order would keep.  The
+  gather's row-grouped candidates are sorted back into that order, because
+  the cost models walk ``kept`` in order (warps, atomic runs) and the
+  bincount accumulation order fixes the bits;
 * gather (``y[c] += x[r]``), scatter (``y[r] += x[c]``) and the COOC
   format are the same reduction with the roles of the two index arrays
   swapped -- bincount accumulates in input order, so the scatter needs no
@@ -64,27 +73,67 @@ def any_lane(M: np.ndarray) -> np.ndarray:
     return M[:, 0] != 0 if M.shape[1] == 1 else M.any(axis=1)
 
 
+def ranges(ptr: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """Positions ``ptr[s] .. ptr[s + 1] - 1`` of every index ``s`` in ``sel``,
+    concatenated in ``sel``'s order, in ``ptr``'s dtype: O(len(sel) +
+    positions), whatever the size of the array ``ptr`` indexes into."""
+    hi = ptr[1:][sel]
+    count = hi - ptr[sel]
+    ends = count.cumsum(dtype=count.dtype)
+    pos = np.arange(ends[-1] if ends.size else 0, dtype=ptr.dtype)
+    # each range's offsets in the output shifted to its place in the array
+    pos += (hi - ends).repeat(count)
+    return pos
+
+
+def entries(mat, active: np.ndarray, *, scatter: bool = False,
+            dst_select: np.ndarray | None = None) -> np.ndarray:
+    """Storage positions, ascending, of the stored entries whose *source*
+    index is ``active`` and whose destination is in ``dst_select`` (bool per
+    destination, ``None`` keeps all).
+
+    The source is the column for the scatter ``Y = A X`` and the row for
+    the gather ``Y = A^T X``.  Only the active sources' entries are visited:
+    a column's are its ``col_ptr`` range, already in storage order; a row's
+    come from the matrix's cached :meth:`row_index` and are sorted back into
+    storage order.  O(active sources + their entries + k log k), not O(m),
+    and int32 like the stored indices.
+    """
+    src = active.nonzero()[0]
+    if scatter:
+        pos, dst_idx = ranges(mat.col_ptr, src), mat.row
+    else:
+        row_ptr, order = mat.row_index()
+        pos, dst_idx = order[ranges(row_ptr, src)], mat.column_of_nnz()
+    if dst_select is not None:
+        pos = pos[dst_select[dst_idx[pos]]]
+    if not scatter:
+        pos.sort()
+    return pos
+
+
 def segment_sums(
     X: np.ndarray,
-    src_idx: np.ndarray,
-    dst_idx: np.ndarray,
-    n_out: int,
+    mat,
+    *,
+    scatter: bool = False,
     dst_select: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``sums[d, j] = sum of X[src_idx[k], j] over entries k with dst_idx[k] == d``.
+    """``sums[d, j] = sum of X[s, j] over the stored entries from source s to
+    destination d`` -- for the gather ``Y = A^T X`` an entry ``(r, c)`` runs
+    from row ``r`` to column ``c``, for the scatter ``Y = A X`` from ``c`` to
+    ``r``.
 
-    ``src_idx``/``dst_idx`` are the per-entry load and store indices in
-    storage order; ``dst_select`` (bool per destination) drops whole
-    destinations, whose sums read zero.  Returns the ``(n_out, B)`` float64
-    sums and ``kept``: the storage positions of the entries that carried a
-    non-zero source row to a selected destination, in storage order -- the
+    ``dst_select`` (bool per destination) drops whole destinations, whose
+    sums read zero.  Returns the ``(n_out, B)`` float64 sums and ``kept``:
+    the storage positions of the entries that carried a non-zero source row
+    to a selected destination, in storage order (:func:`entries`) -- the
     contributing entries the kernels' cost models count.
     """
+    src_idx, dst_idx, n_out = ((mat.column_of_nnz(), mat.row, mat.n_rows) if scatter
+                               else (mat.row, mat.column_of_nnz(), mat.n_cols))
     B = X.shape[1]
-    keep = any_lane(X)[src_idx]
-    if dst_select is not None:
-        keep &= dst_select[dst_idx]
-    kept = np.flatnonzero(keep)
+    kept = entries(mat, any_lane(X), scatter=scatter, dst_select=dst_select)
     sums = np.zeros((B, n_out), dtype=np.float64)
     if kept.size:
         # bincount's index type, converted once rather than once per lane
@@ -178,7 +227,7 @@ def gather_product(mat, X, allowed=None, out_dtype=None) -> Product:
         col_select = any_lane(allowed)
         lanes = allowed[:, 0].astype(np.int64) if B == 1 else allowed.sum(
             axis=1, dtype=np.int64)
-    sums, kept = segment_sums(X, mat.row, mat.column_of_nnz(), n, col_select)
+    sums, kept = segment_sums(X, mat, dst_select=col_select)
     if allowed is not None and B > 1:
         sums[~allowed] = 0.0
     Y = cast_output(sums, out_dtype or X.dtype, positive_only=True)
@@ -186,17 +235,19 @@ def gather_product(mat, X, allowed=None, out_dtype=None) -> Product:
     return Product(Y, X, lanes, kept, written, allowed)
 
 
-def push_product(X, src_idx, dst_idx, n_out: int, out_dtype=None, *,
-                 scatter: bool = False) -> Product:
-    """``Y[d] = sum of the positive lanes of X[s] over the entries (s, d)``.
+def push_product(mat, X, out_dtype=None, *, scatter: bool = False) -> Product:
+    """``Y[d] = sum of the positive lanes of X[s] over the entries (s, d)``,
+    from source rows to destination columns (the gather roles), or from
+    columns to rows with ``scatter``.
 
     The semantics of the kernels that push frontier values along stored
     entries -- the scatter products and the thread-per-edge COOC kernel:
     only positive frontier values contribute, and every accumulated row is
     stored.  ``lanes`` counts the positive lanes per source index.
     """
+    X = as_frontier_matrix(X, mat.n_cols if scatter else mat.n_rows)
     Xp = np.where(X > 0, X, X.dtype.type(0))
-    sums, kept = segment_sums(Xp, src_idx, dst_idx, n_out)
+    sums, kept = segment_sums(Xp, mat, scatter=scatter)
     Y = cast_output(sums, out_dtype or X.dtype, positive_only=False)
     lanes = np.count_nonzero(Xp, axis=1).astype(np.int64) if X.shape[1] > 1 else (
         Xp[:, 0] > 0).astype(np.int64)
@@ -210,9 +261,7 @@ def scatter_product(mat, X, out_dtype=None) -> Product:
     The backward stage of digraphs needs dependencies to flow against edge
     direction; the kernels read the same stored format as the gather.
     """
-    X = as_frontier_matrix(X, mat.n_cols)
-    return push_product(X, mat.column_of_nnz(), mat.row, mat.n_rows, out_dtype,
-                        scatter=True)
+    return push_product(mat, X, out_dtype, scatter=True)
 
 
 @dataclass(slots=True)

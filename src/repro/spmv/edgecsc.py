@@ -72,7 +72,7 @@ def profile(csc: CSCMatrix, p: M.Product, l2_bytes: int) -> M.Profile:
     else:
         stores, store_words = col_of_nnz[p.kept], csc.n_cols
         if p.masked:
-            sel_rows = csc.row[(p.lanes > 0)[col_of_nnz]]
+            sel_rows = csc.row[M.ranges(csc.col_ptr, np.flatnonzero(p.lanes > 0))]
             loads = int(sel_rows.size)
             txn = W.cached_gather_transactions(sel_rows, item, csc.n_rows, lanes=B,
                                                l2_bytes=l2_bytes)

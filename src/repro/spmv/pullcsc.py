@@ -88,10 +88,9 @@ def first_hit_probes(
     discovered = np.zeros(csc.n_cols, dtype=bool)
     if csc.nnz == 0:
         return probe, discovered
-    col_of = csc.column_of_nnz()
-    hit_idx = np.flatnonzero(active_rows[csc.row] & allowed[col_of])
+    hit_idx = M.entries(csc, active_rows, dst_select=allowed)
     if hit_idx.size:
-        cols_hit = col_of[hit_idx]
+        cols_hit = csc.column_of_nnz()[hit_idx]
         first = np.ones(cols_hit.size, dtype=bool)
         first[1:] = cols_hit[1:] != cols_hit[:-1]
         first_cols = cols_hit[first]

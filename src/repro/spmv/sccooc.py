@@ -97,8 +97,7 @@ def sccooc_spmm(
     update kernel applies it); only positive lane values contribute
     (Algorithm 2, line 5, per lane).
     """
-    X = M.as_frontier_matrix(X, cooc.n_rows)
-    p = M.push_product(X, cooc.row, cooc.col, cooc.n_cols, out_dtype)
+    p = M.push_product(cooc, X, out_dtype)
     return p.Y, M.launch(device, cooc, p, profile, cost, tag)
 
 

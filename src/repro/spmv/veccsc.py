@@ -54,7 +54,7 @@ def profile(csc: CSCMatrix, p: M.Product, l2_bytes: int) -> M.Profile:
                                            lanes=p.B, l2_bytes=l2_bytes)
     elif p.masked:
         # the B-wide frontier rows of the processed columns, in storage order
-        sel_rows = csc.row[(lanes > 0)[csc.column_of_nnz()]]
+        sel_rows = csc.row[M.ranges(csc.col_ptr, np.flatnonzero(lanes > 0))]
         txn = W.cached_gather_transactions(sel_rows, p.dtype.itemsize, csc.n_rows,
                                            lanes=p.B, l2_bytes=l2_bytes)
     else:

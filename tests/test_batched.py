@@ -121,14 +121,17 @@ class TestBatchedBitIdentity:
         sequential ``np.bincount`` accumulation.  ``np.add.reduceat`` does
         not (its float64 loop goes pairwise past a few entries), which once
         made batched lanes drift ULPs from B = 1 on columns of degree >= ~7."""
+        from repro.formats.csc import CSCMatrix
         from repro.spmv._spmm import segment_sums
 
         rng = np.random.default_rng(3)
         seg_ptr = np.array([0, 1, 1, 9, 40, 40, 73])
         vals = rng.uniform(0.1, 3.0, size=(seg_ptr[-1], 4))
         seg_of_entry = np.repeat(np.arange(seg_ptr.size - 1), np.diff(seg_ptr))
-        sums, kept = segment_sums(vals, np.arange(seg_ptr[-1]), seg_of_entry,
-                                  seg_ptr.size - 1)
+        # entry k runs from its own row k to its segment's column
+        mat = CSCMatrix(seg_ptr, np.arange(seg_ptr[-1]),
+                        (seg_ptr[-1], seg_ptr.size - 1))
+        sums, kept = segment_sums(vals, mat)
         assert kept.tolist() == list(range(seg_ptr[-1]))
         for j in range(vals.shape[1]):
             want = np.bincount(seg_of_entry, weights=vals[:, j],

@@ -68,6 +68,26 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "graph file not found" in err and str(missing) in err
 
+    @pytest.mark.parametrize("name, body, reason", [
+        ("token.txt", "0 1\n1 x\n", "'x' is not an integer"),
+        ("negative.txt", "0 1\n# note\n-1 2\n", "below 0"),
+        ("huge.txt", "0 2147483648\n", "int32 index range"),
+        ("short.txt", "0 1\n5\n", "expected two vertex ids"),
+        ("token.mtx", "%%MatrixMarket matrix coordinate pattern general\n3 3 1\n1 y\n",
+         "'y' is not an integer"),
+        ("short.mtx", "%%MatrixMarket matrix coordinate pattern general\n3 3 2\n1 2\n3\n",
+         "expected two vertex ids"),
+    ])
+    def test_malformed_graph_file_exits_2(self, tmp_path, capsys, name, body, reason):
+        path = tmp_path / name
+        path.write_text(body)
+        assert main(["bc", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {path}:")
+        assert reason in err
+        line = body.count("\n")  # every case's fault is on its last line
+        assert f":{line}: " in err
+
     def test_unknown_suite_name_exits_2(self, capsys):
         assert main(["bc", "not-a-suite-graph"]) == 2
         err = capsys.readouterr().err

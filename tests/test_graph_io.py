@@ -98,3 +98,41 @@ class TestEdgeList:
         path = tmp_path / "g.txt"
         io.write_edge_list(g, path, comment="hello")
         assert "hello" in path.read_text()
+
+
+class TestGraphFormatError:
+    """Every reader fault is a GraphFormatError naming the file and line."""
+
+    @pytest.mark.parametrize("reader, body, line, reason", [
+        ("el", "0 1\n1 x\n", 2, "not an integer"),
+        ("el", "0 1\n\n-3 1\n", 3, "below 0"),
+        ("el", "4294967296 1\n", 1, "int32 index range"),
+        ("el", "7\n", 1, "expected two vertex ids"),
+        ("mtx", "%%MatrixMarket matrix coordinate pattern general\n3 3 1\n0 1\n", 3,
+         "below 1"),
+        ("mtx", "%%MatrixMarket matrix coordinate pattern general\n3 3 1\n1 4\n", 3,
+         "outside the declared size 3"),
+        ("mtx", "%%MatrixMarket matrix coordinate pattern general\n% c\n3 three 1\n", 3,
+         "malformed size line"),
+        ("mtx", "%%MatrixMarket matrix coordinate pattern general\n3 3 2\n1 2\n", 0,
+         "expected 2 entries, found 1"),
+    ])
+    def test_reader_faults(self, tmp_path, reader, body, line, reason):
+        path = tmp_path / f"g.{'txt' if reader == 'el' else 'mtx'}"
+        path.write_text(body)
+        read = io.read_edge_list if reader == "el" else io.read_matrix_market
+        with pytest.raises(io.GraphFormatError, match=reason) as info:
+            read(path)
+        assert (info.value.path, info.value.line) == (str(path), line)
+
+    def test_undecodable_bytes(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"0 1\n\xff\xfe 2\n")
+        with pytest.raises(io.GraphFormatError, match="UTF-8"):
+            io.read_edge_list(path)
+
+    def test_extra_tokens_and_either_comment_marker(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("# snap\n0 1 0.5\n% other\n1 2 7\n")
+        g = io.read_edge_list(path)
+        assert g.src.tolist() == [0, 1] and g.dst.tolist() == [1, 2]

@@ -177,6 +177,12 @@ class TestLedgerDeterminism:
         assert len(read_ledger(tmp_path / "l.jsonl")) == 1
 
 
+def _append_records(path, writer: int, count: int) -> None:
+    led = Ledger(path)
+    for i in range(count):
+        led.append({"kind": "bc", "writer": writer, "i": i, "pad": str(writer) * 20_000})
+
+
 class TestLedgerFile:
     def test_torn_final_line_tolerated(self, tmp_path):
         path = tmp_path / "l.jsonl"
@@ -195,6 +201,31 @@ class TestLedgerFile:
         led.append({"kind": "bc"})
         with pytest.raises(ValueError, match=r":2:"):
             read_ledger(path)
+
+    def test_concurrent_writers_never_interleave(self, tmp_path):
+        """4 processes x 50 appends of lines longer than a write buffer:
+        every record arrives whole, on its own line."""
+        import multiprocessing
+
+        path = tmp_path / "l.jsonl"
+        ctx = multiprocessing.get_context("spawn")
+        writers = [ctx.Process(target=_append_records, args=(path, w, 50))
+                   for w in range(4)]
+        try:
+            for p in writers:
+                p.start()
+            for p in writers:
+                p.join(timeout=60)
+            assert [p.exitcode for p in writers] == [0] * 4
+        finally:
+            for p in writers:
+                if p.is_alive():
+                    p.kill()
+        records = read_ledger(path)
+        assert len(records) == 200
+        assert sorted((r["writer"], r["i"]) for r in records) == [
+            (w, i) for w in range(4) for i in range(50)]
+        assert all(r["pad"] == str(r["writer"]) * 20_000 for r in records)
 
     def test_filter_records(self):
         recs = [

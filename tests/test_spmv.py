@@ -249,3 +249,40 @@ class TestBatchedLaunchStats:
                 doc["frontiers"][case["graph"]],
             )
             assert dataclasses.asdict(stats) == case["stats"], key
+
+
+class TestFrontierProportionalWork:
+    """A product's per-level host work follows the frontier, not the matrix:
+    on a matrix with ``m >> n``, a one-row frontier must not allocate
+    anything ``m``-long (the full-scan selection built m-length boolean
+    masks).  ``tracemalloc`` counts the bytes, so the guard is exact."""
+
+    def test_one_row_frontier_allocates_below_m(self):
+        import tracemalloc
+
+        from repro.formats.csc import CSCMatrix
+        from repro.spmv._spmm import gather_product, scatter_product
+
+        n, per_col = 10_000, 100
+        # column c holds rows c, c + 100, c + 200, ... (mod n): 1M entries
+        rows = np.sort((np.arange(n)[:, None] + 100 * np.arange(per_col)) % n, axis=1)
+        csc = CSCMatrix(np.arange(0, n * per_col + 1, per_col), rows.ravel(), (n, n))
+        X = np.zeros((n, 1), dtype=np.int32)
+        X[4321] = 1
+        allowed = np.ones((n, 1), dtype=bool)
+        products = {
+            "gather": lambda: gather_product(csc, X),
+            "masked gather": lambda: gather_product(csc, X, allowed),
+            "scatter": lambda: scatter_product(csc, X),
+        }
+        for product in products.values():
+            product()  # builds the matrix's cached host-side plans
+        for name, product in products.items():
+            tracemalloc.start()
+            try:
+                p = product()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert p.kept.size == per_col
+            assert peak < csc.nnz // 2, (name, peak)
